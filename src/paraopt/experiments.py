@@ -22,7 +22,8 @@ from .model import (ControlProblem, InterfaceVector, TimeGrid, make_dahlquist,
                     make_grid, make_heat_1d, make_lotka_volterra)
 from .propagators import fine_propagate
 from .solver import (VARIANT_GAUSS_NEWTON, VARIANT_NEWTON,
-                     ConvergenceReport, ParaoptOptions, paraopt_solve)
+                     ConvergenceReport, ParaoptOptions, paraopt_solve,
+                     reference_solve)
 
 Array = np.ndarray
 
@@ -223,8 +224,6 @@ LV_MINIMA_COSTS = (1064.84, 15.74)               # two distinct local minima
 _HISTORY_COLUMNS = ["iter", "residual_inf", "err_inf", "inner_iters",
                     "wall_seconds"]
 
-_reference_cache: dict = {}
-
 
 def _lv_problem(alpha: float) -> ControlProblem:
     return make_lotka_volterra(alpha=alpha)
@@ -241,32 +240,6 @@ def _lv_grid(T: float, L: int, r: float, fine_total: int) -> TimeGrid:
         raise InvalidParameterError(
             f"ratio r={r} gives a non-integer coarse step count per window")
     return make_grid(T, L, N, mc_int)
-
-
-def _fine_reference_trajectory(problem: ControlProblem, T: float,
-                               fine_total: int, options: ParaoptOptions):
-    """Converged single-window fine solution, cached per configuration."""
-    key = (problem.name, problem.alpha, tuple(problem.y_init),
-           tuple(problem.y_target), T, fine_total, options.outer_tol)
-    if key not in _reference_cache:
-        single = make_grid(T, 1, fine_total, fine_total)
-        report = paraopt_solve(problem, single, options)
-        if not report.converged:
-            raise NoConvergenceError("reference solve did not converge",
-                                     report=report)
-        _, _, traj = fine_propagate(problem, single, 1,
-                                    report.final.states[0],
-                                    report.final.adjoints[0],
-                                    options.local_tol,
-                                    options.local_max_newton)
-        _reference_cache[key] = (traj.states, traj.adjoints)
-    return _reference_cache[key]
-
-
-def _restrict_trajectory(states, adjoints, L: int) -> InterfaceVector:
-    N = (len(states) - 1) // L
-    idx = np.arange(L + 1) * N
-    return InterfaceVector(states[idx], adjoints[idx][1:])
 
 
 def _history_artifact(name: str, report: ConvergenceReport) -> Artifact:
@@ -288,11 +261,8 @@ def lotka_volterra_run(T: float = 1.0 / 3.0, alpha: float = 5e-2, L: int = 10,
     grid = _lv_grid(T, L, r, fine_total)
     options = ParaoptOptions(outer_tol=outer_tol, variant=variant,
                              workers=workers, inner_solver="assembled_direct")
-    reference = None
-    if with_reference:
-        states, adjoints = _fine_reference_trajectory(problem, T, fine_total,
-                                                      options)
-        reference = _restrict_trajectory(states, adjoints, L)
+    reference = (reference_solve(problem, grid, options) if with_reference
+                 else None)
     report = paraopt_solve(problem, grid, options, reference=reference)
     result = ExperimentResult(
         f"lv_T{T:g}_L{L}_r{r:g}_{variant}",
@@ -436,14 +406,7 @@ def heat_run(delta_t: float = 1e-7, r: float = 1e-1, alpha: float = 1e-4,
     grid = make_grid(T, L, N_int, mc_int)
     options = ParaoptOptions(outer_tol=outer_tol, workers=workers,
                              inner_solver="krylov", inner_tol=1e-12)
-    single = grid.with_single_subinterval()
-    ref_report = paraopt_solve(problem, single, options)
-    if not ref_report.converged:
-        raise NoConvergenceError("heat reference solve failed",
-                                 report=ref_report)
-    from .solver import _restrict_to_grid
-
-    reference = _restrict_to_grid(problem, single, grid, ref_report.final)
+    reference = reference_solve(problem, grid, options)
     report = paraopt_solve(problem, grid, options, reference=reference)
 
     lo, hi = control_support
@@ -465,9 +428,8 @@ def heat_run(delta_t: float = 1e-7, r: float = 1e-1, alpha: float = 1e-4,
                     fine_steps=N_int, coarse_steps=mc_int,
                     modes_valid=modes_valid, max_mode_bound=worst,
                     outer_iterations=report.iterations,
-                    converged=report.converged,
-                    reference_iterations=ref_report.iterations),
-        reports={"run": report, "reference": ref_report})
+                    converged=report.converged),
+        reports={"run": report})
     result.artifacts.append(_history_artifact("history", report))
     result.artifacts.append(Artifact("mode_bounds",
                                      ["mode", "sigma", "rho_bound"],

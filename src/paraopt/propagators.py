@@ -7,9 +7,10 @@ the left (y(T_l) = Y), the adjoint on the right (lam(T_{l+1}) = Lam_plus).
     P = y at the right end,   Q = lam at the left end,
 
 ``coarse_linearize`` does the same on the coarse step and keeps the local
-solution so that ``derivative_action`` can apply the four derivative blocks
-dP/dY, dP/dLam, dQ/dY, dQ/dLam of the coarse propagator pair, obtained by
-solving the linearized problem about the stored trajectory.
+solution; ``CoarseLinearization.blocks`` assembles from it the four
+derivative blocks dP/dY, dP/dLam, dQ/dY, dQ/dLam of the coarse propagator
+pair (by solving the linearized problem about the stored trajectory), and
+``derivative_action`` applies them.
 
 Discretization (implicit Euler both directions, one function of this module
 per branch; the linear branch follows the discretely-optimal form whose
@@ -234,7 +235,7 @@ def _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha):
 
 
 def _assemble_banded(problem, y, lam, tau, st: _Stencil, bbt_over_alpha,
-                     gauss_newton: bool) -> Array:
+                     gauss_newton: bool, terminal: bool = False) -> Array:
     n = problem.dim
     m = st.dim // (2 * n)
     ab = np.zeros((st.rows, st.dim), order="F")
@@ -249,6 +250,14 @@ def _assemble_banded(problem, y, lam, tau, st: _Stencil, bbt_over_alpha,
     ab[st.R1_y[0], st.R1_y[1]] = np.broadcast_to(-eye, (m - 1, n, n)).ravel()
     ab[st.R1_lam_next[0], st.R1_lam_next[1]] = np.broadcast_to(
         tau * bbt_over_alpha, (m - 1, n, n)).ravel()
+    if terminal:
+        # lam_m = y_m - y_target puts y_m (the last slot's state column) into
+        # R2_{m-1} with -I and into R1_{m-1} with tau*BB^T/alpha; both
+        # blocks lie inside the band.
+        i, j = np.ogrid[:n, :n]
+        band, col = st.l + st.u + i - j, 2 * n * (m - 1) + n + j
+        ab[band - n, col] = -eye
+        ab[band, col] += tau * bbt_over_alpha
     return ab
 
 
@@ -263,11 +272,22 @@ def _banded_solve(st: _Stencil, ab: Array, rhs: Array, context: str) -> Array:
 
 def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
                             context: str):
+    """Damped Newton for one window: y_0 = Y and lam_m = Lam_plus.
+
+    With ``Lam_plus=None`` the right end carries the terminal condition
+    lam_m = y_m - y_target instead, so the window is the whole optimality
+    system on its grid; the adjoints then start at ones (the paper's default
+    guess).  Returns (states, adjoints, Newton iterations).
+    """
     n = problem.dim
     st = _stencil(n, m)
     bbt_over_alpha = problem.bbt() / problem.alpha
+    terminal = Lam_plus is None
     y = np.tile(np.asarray(Y, dtype=float), (m + 1, 1))
-    lam = np.tile(np.asarray(Lam_plus, dtype=float), (m + 1, 1))
+    lam = np.tile(np.ones(n) if terminal else np.asarray(Lam_plus, dtype=float),
+                  (m + 1, 1))
+    if terminal:
+        lam[-1] = y[-1] - problem.y_target
     R1, R2 = _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha)
     res = max(np.abs(R1).max(), np.abs(R2).max()) if m else 0.0
     res0 = max(res, 1.0)
@@ -278,7 +298,7 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
                 f"window Newton needed more than {max_newton} iterations "
                 f"({context}); residual {res:.3e}", residual=res)
         ab = _assemble_banded(problem, y, lam, tau, st, bbt_over_alpha,
-                              gauss_newton=False)
+                              gauss_newton=False, terminal=terminal)
         rhs = np.empty((m, 2 * n))
         rhs[:, :n] = -R2
         rhs[:, n:] = -R1
@@ -292,6 +312,8 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
             lam_new = lam.copy()
             y_new[1:] += step * dy
             lam_new[:-1] += step * dlam
+            if terminal:
+                lam_new[-1] = y_new[-1] - problem.y_target
             R1n, R2n = _nonlinear_residual(problem, y_new, lam_new, tau,
                                            bbt_over_alpha)
             res_new = max(np.abs(R1n).max(), np.abs(R2n).max())
@@ -370,9 +392,11 @@ class CoarseLinearization:
     def blocks(self, gauss_newton: bool = False):
         """The four derivative matrices (P_y, P_lam, Q_y, Q_lam).
 
-        Built once per variant by applying :func:`derivative_action` to the
-        unit vectors, so the assembled matrices agree bit for bit with the
-        matrix-free applications.
+        Built once per variant: in closed form for linear problems, otherwise
+        by one banded factorization of the window's linearized system about
+        ``trajectory``, solved for the 2n unit boundary data (dY, then dLam).
+        With ``gauss_newton`` the second-derivative coupling of the adjoint
+        equation is dropped.
         """
         key = bool(gauss_newton)
         if key not in self._blocks:
@@ -442,32 +466,13 @@ def derivative_action(problem: ControlProblem, lin: CoarseLinearization,
                       dY: Array, dLam: Array, gauss_newton: bool = False):
     """Apply the coarse propagator derivatives: (dP, dQ) for (dY, dLam).
 
-    Solves the discrete linearization of the window scheme about
-    ``lin.trajectory`` with boundary data z_0 = dY, mu_m = dLam; with
-    ``gauss_newton`` the second-derivative coupling of the adjoint equation
-    is dropped.
+    Multiplies by the cached blocks of :meth:`CoarseLinearization.blocks`.
     """
     n = problem.dim
     dY = np.asarray(dY, dtype=float).reshape(n)
     dLam = np.asarray(dLam, dtype=float).reshape(n)
-    traj = lin.trajectory
-    if problem.is_linear:
-        ops = _linear_ops(problem, traj.tau, traj.steps)
-        dP = ops.SN @ dY - (ops.G @ dLam) / problem.alpha
-        dQ = ops.SNT @ dLam
-        return dP, dQ
-    m = traj.steps
-    st = _stencil(n, m)
-    bbt_over_alpha = problem.bbt() / problem.alpha
-    ab = _assemble_banded(problem, traj.states, traj.adjoints, traj.tau, st,
-                          bbt_over_alpha, gauss_newton=gauss_newton)
-    rhs = _derivative_rhs(problem, traj, dY, dLam, gauss_newton,
-                          bbt_over_alpha)
-    du = _banded_solve(st, ab, rhs,
-                       context=f"derivative window {lin.subinterval_index}")
-    dP = du[(m - 1) * 2 * n + n: m * 2 * n].copy()
-    dQ = du[0:n].copy()
-    return dP, dQ
+    Py, Pl, Qy, Ql = lin.blocks(gauss_newton)
+    return Py @ dY + Pl @ dLam, Qy @ dY + Ql @ dLam
 
 
 def window_recurrence_residual(problem: ControlProblem,

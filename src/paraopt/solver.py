@@ -28,7 +28,8 @@ from ._parallel import parallel_map, resolve_workers
 from .errors import (InvalidParameterError, NewtonDivergenceError,
                      NoConvergenceError)
 from .model import ControlProblem, InterfaceVector, TimeGrid
-from .propagators import (coarse_linearize, fine_propagate,
+from .propagators import (_linear_ops, _solve_window_nonlinear,
+                          coarse_linearize, fine_propagate,
                           window_recurrence_residual)
 
 Array = np.ndarray
@@ -123,6 +124,18 @@ def default_initial_guess(problem: ControlProblem, grid: TimeGrid,
     return InterfaceVector(states, adjoints)
 
 
+def _window_task(solve, problem, grid, X, tol, max_newton):
+    """Task solving window ell from X; a Newton failure names the window."""
+    def task(ell):
+        try:
+            return solve(problem, grid, ell, X.states[ell - 1],
+                         X.adjoints[ell - 1], tol, max_newton)
+        except NewtonDivergenceError as exc:
+            exc.subinterval = ell
+            raise
+    return task
+
+
 def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
              tol: float = 1e-12, max_newton: int = 50,
              workers: int = 1):
@@ -131,16 +144,9 @@ def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
     n = problem.dim
     if X.num_subintervals != L or X.dim != n:
         raise InvalidParameterError("interface vector does not fit the grid")
-
-    def solve_window(ell):
-        try:
-            return fine_propagate(problem, grid, ell, X.states[ell - 1],
-                                  X.adjoints[ell - 1], tol, max_newton)
-        except NewtonDivergenceError as exc:
-            exc.subinterval = ell
-            raise
-
-    results = parallel_map(solve_window, range(1, L + 1), workers)
+    results = parallel_map(
+        _window_task(fine_propagate, problem, grid, X, tol, max_newton),
+        range(1, L + 1), workers)
     F = np.empty((2 * L + 1, n))
     F[0] = X.states[0] - problem.y_init
     for ell in range(1, L + 1):
@@ -154,32 +160,12 @@ def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
 def apply_approx_jacobian(linearizations: list, dX: Array,
                           variant: str = VARIANT_NEWTON,
                           workers: int = 1) -> Array:
-    """Matrix-free application of the coarse interface Jacobian."""
-    from .propagators import derivative_action
-
+    """Apply the coarse interface Jacobian built from the window blocks."""
     L = len(linearizations)
-    problem = linearizations[0].problem
-    n = problem.dim
     dX = np.asarray(dX, dtype=float)
-    if dX.size != n * (2 * L + 1):
+    if dX.size != linearizations[0].problem.dim * (2 * L + 1):
         raise InvalidParameterError("vector length does not match L windows")
-    blocks = dX.reshape(2 * L + 1, n)
-    dY, dLam = blocks[:L + 1], blocks[L + 1:]
-    gn = variant == VARIANT_GAUSS_NEWTON
-
-    def action(ell):
-        return derivative_action(problem, linearizations[ell - 1],
-                                 dY[ell - 1], dLam[ell - 1], gauss_newton=gn)
-
-    acts = parallel_map(action, range(1, L + 1), workers)
-    out = np.empty_like(blocks)
-    out[0] = dY[0]
-    for ell in range(1, L + 1):
-        out[ell] = dY[ell] - acts[ell - 1][0]
-    for ell in range(1, L):
-        out[L + ell] = dLam[ell - 1] - acts[ell][1]
-    out[2 * L] = dLam[L - 1] - dY[L]
-    return out.ravel()
+    return _jacobian_matvec(linearizations, variant, workers)[0](dX)
 
 
 def _jacobian_matvec(linearizations, variant, workers):
@@ -365,10 +351,8 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     while not converged and len(residuals) <= options.max_outer:
         t0 = time.perf_counter()
         lins = parallel_map(
-            lambda ell: coarse_linearize(problem, grid, ell,
-                                         X.states[ell - 1], X.adjoints[ell - 1],
-                                         options.local_tol,
-                                         options.local_max_newton),
+            _window_task(coarse_linearize, problem, grid, X,
+                         options.local_tol, options.local_max_newton),
             range(1, L + 1), workers)
         dX, stats = solve_jacobian_system(lins, -F, options, workers)
         X = InterfaceVector.from_stacked(X.to_stacked() + dX, L, problem.dim)
@@ -398,49 +382,45 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     return report
 
 
-def _restrict_to_grid(problem: ControlProblem, single: TimeGrid,
-                      target: TimeGrid, X: InterfaceVector) -> InterfaceVector:
-    """Interface values of a one-window solution on a refining grid."""
-    from .propagators import _linear_ops
-
-    L = target.num_subintervals
-    n = problem.dim
-    N = target.fine_steps
-    if problem.is_linear:
-        ops = _linear_ops(problem, target.fine_step, N)
-        adj = np.empty((L, n))
-        adj[L - 1] = X.adjoints[0]
-        for ell in range(L - 1, 0, -1):
-            adj[ell - 1] = ops.SNT @ adj[ell]
-        states = np.empty((L + 1, n))
-        states[0] = X.states[0]
-        for ell in range(L):
-            states[ell + 1] = ops.SN @ states[ell] - (ops.G @ adj[ell]) / problem.alpha
-        return InterfaceVector(states, adj)
-    _, _, traj = fine_propagate(problem, single, 1, X.states[0], X.adjoints[0])
-    idx = np.arange(L + 1) * N
-    return InterfaceVector(traj.states[idx], traj.adjoints[idx][1:])
-
-
 def reference_solve(problem: ControlProblem, grid: TimeGrid,
                     options: Optional[ParaoptOptions] = None
                     ) -> InterfaceVector:
     """Converged fine-grid interface values on ``grid``.
 
-    Solves the whole horizon as a single window whose coarse grid equals the
-    fine one (exact derivative blocks), then samples the solution at the
-    interface times of ``grid``.  Raises :class:`NoConvergenceError` when
-    that solve fails; hard problems genuinely do (long horizons may not
-    admit a plain Newton solve from the default guess).
+    Solves the discrete optimality system of the whole horizon sequentially
+    on the fine step and samples it at the interface times of ``grid``.
+    Nonlinear problems take one damped banded Newton solve of all fine steps
+    with the terminal condition built in (tolerance ``local_tol``, at most
+    ``local_max_newton`` steps).  Linear problems take the outer iteration on
+    the one-window grid, whose exact derivative blocks converge in one step,
+    and are restricted with the closed-form window maps.  Raises
+    :class:`NoConvergenceError` when the solve fails.
     """
     options = options or ParaoptOptions()
     single = grid.with_single_subinterval()
-    try:
-        report = paraopt_solve(problem, single, options)
-    except NewtonDivergenceError as exc:
-        raise NoConvergenceError(
-            f"reference window solve diverged: {exc}") from exc
+    L, N = grid.num_subintervals, grid.fine_steps
+    if not problem.is_linear:
+        try:
+            y, lam, _ = _solve_window_nonlinear(
+                problem, problem.y_init, None, single.fine_step,
+                single.fine_steps, options.local_tol,
+                options.local_max_newton, context="reference")
+        except NewtonDivergenceError as exc:
+            raise NoConvergenceError(
+                f"reference solve diverged: {exc}") from exc
+        idx = np.arange(L + 1) * N
+        return InterfaceVector(y[idx], lam[idx[1:]])
+    report = paraopt_solve(problem, single, options)
     if not report.converged:
         raise NoConvergenceError("reference solve did not converge",
                                  report=report)
-    return _restrict_to_grid(problem, single, grid, report.final)
+    ops = _linear_ops(problem, grid.fine_step, N)
+    adj = np.empty((L, problem.dim))
+    adj[L - 1] = report.final.adjoints[0]
+    for ell in range(L - 1, 0, -1):
+        adj[ell - 1] = ops.SNT @ adj[ell]
+    states = np.empty((L + 1, problem.dim))
+    states[0] = report.final.states[0]
+    for ell in range(L):
+        states[ell + 1] = ops.SN @ states[ell] - (ops.G @ adj[ell]) / problem.alpha
+    return InterfaceVector(states, adj)

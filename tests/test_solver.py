@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraopt import (InterfaceVector, InvalidParameterError,
-                     NoConvergenceError, ParaoptOptions,
+                     NewtonDivergenceError, NoConvergenceError, ParaoptOptions,
                      apply_approx_jacobian, coarse_linearize,
                      default_initial_guess, make_dahlquist, make_grid,
                      make_heat_1d, make_lotka_volterra, paraopt_solve,
                      reference_solve, residual, solve_jacobian_system)
 from paraopt import linear_analysis as la
+from paraopt import solver
 from paraopt.solver import gmres, verify_residual
 
 
@@ -295,15 +298,68 @@ def test_reference_solve_heat_single_newton():
     ref = reference_solve(p, g)
     F, _ = residual(p, g, ref)
     assert np.abs(F).max() <= 1e-10
+    # the linear reference is the outer iteration on the one-window grid;
+    # its exact derivative blocks converge in a single step (heat_run's grid
+    # and options)
+    options = ParaoptOptions(outer_tol=1e-10, inner_solver="krylov",
+                             inner_tol=1e-12)
+    single = make_grid(1e-2, 10, 100, 10).with_single_subinterval()
+    report = paraopt_solve(make_heat_1d(n=20), single, options)
+    assert report.converged and report.iterations == 1
 
 
-def test_reference_solve_lotka_volterra_long_horizon_diverges():
-    # a single long window does not admit a plain Newton solve from the
-    # default guess; the reference must report that honestly
+def test_single_window_lotka_volterra_long_horizon_diverges():
+    # a single long window does not admit the outer iteration from the
+    # default guess; the solver must report that honestly
     p = make_lotka_volterra()
-    g = make_grid(1.0, 1, 30_000, 30_000)
+    with pytest.raises(NewtonDivergenceError):
+        paraopt_solve(p, make_grid(1.0, 1, 30_000, 30_000))
+
+
+def test_reference_solve_lotka_volterra_long_horizon_converges():
+    p = make_lotka_volterra()
+    g = make_grid(1.0, 10, 3_000, 3_000)
+    ref = reference_solve(p, g)
+    F, _ = residual(p, g, ref)
+    assert np.abs(F).max() <= g.total_fine_steps * ParaoptOptions().local_tol
+
+
+def test_reference_solve_reports_newton_failure():
+    p = make_lotka_volterra()
     with pytest.raises(NoConvergenceError):
-        reference_solve(p, g)
+        reference_solve(p, make_grid(1.0 / 3.0, 4, 100, 10),
+                        ParaoptOptions(local_max_newton=1))
+
+
+def test_coarse_failure_names_its_window(monkeypatch):
+    def failing(problem, grid, ell, *args):
+        if ell == 2:
+            raise NewtonDivergenceError("coarse window failed")
+        return coarse_linearize(problem, grid, ell, *args)
+
+    monkeypatch.setattr(solver, "coarse_linearize", failing)
+    p = make_lotka_volterra()
+    with pytest.raises(NewtonDivergenceError) as info:
+        paraopt_solve(p, make_grid(1.0 / 3.0, 3, 40, 4),
+                      ParaoptOptions(workers=1))
+    assert info.value.subinterval == 2
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(y_init=st.tuples(st.floats(19.0, 21.0), st.floats(9.5, 10.5)),
+       y_target=st.tuples(st.floats(95.0, 105.0), st.floats(19.0, 21.0)),
+       T=st.floats(0.05, 1.0 / 3.0), L=st.integers(2, 6),
+       N=st.sampled_from([60, 120, 240]), coarse=st.sampled_from([10, 4, 1]))
+def test_paraopt_matches_nonlinear_reference(y_init, y_target, T, L, N,
+                                             coarse):
+    # oracle: the parallel solve reaches the whole-horizon discrete solution
+    p = make_lotka_volterra(y_init=y_init, y_target=y_target)
+    g = make_grid(T, L, N, N // coarse)
+    options = ParaoptOptions(inner_solver="assembled_direct", outer_tol=1e-11)
+    report = paraopt_solve(p, g, options)
+    assert report.converged
+    err = report.final.diff_inf(reference_solve(p, g, options))
+    assert err <= L * N * options.local_tol
 
 
 # -- determinism across worker counts ----------------------------------------
