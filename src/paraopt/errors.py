@@ -18,7 +18,15 @@ class UnsupportedRegimeError(ParaoptError):
 
 
 class SingularStepError(ParaoptError):
-    """A time-step matrix (I - tau*f'(y)) is singular to working precision."""
+    """A time-step matrix (I - tau*f'(y)) is singular to working precision.
+
+    ``subinterval`` names the failing window when a window solve or its
+    derivative blocks raised it.
+    """
+
+    def __init__(self, message, *, subinterval=None):
+        super().__init__(message)
+        self.subinterval = subinterval
 
 
 class SingularMatrixError(ParaoptError):

@@ -25,7 +25,15 @@ control picks up an extra solve with the step matrix):
       y_{j+1} = y_j + tau * (f(y_{j+1}) - B B^T lam_{j+1} / alpha),
       (I - tau * f'(y_j)^T) lam_j = lam_{j+1},
   solved by a damped Newton iteration on the stacked unknowns with an
-  analytic block-banded Jacobian.
+  analytic block-banded Jacobian, written into LAPACK band storage through
+  one strided view per block type.  A cold solve starts from constant
+  states Y and adjoints Lam_plus.  ``fine_propagate(..., start=traj)``
+  instead starts from an earlier trajectory of the same window (the outer
+  iteration passes the previous iterate's) with the new boundary values
+  written in, and always takes at least one Newton step: a start that
+  already meets the tolerance would otherwise keep its old P and Q,
+  ignoring the new Y and Lam_plus, which stalls the outer iteration near
+  the tolerance.  Linear windows are closed-form and ignore ``start``.
 
 All entry points are pure functions of their arguments and can run
 concurrently on distinct sub-intervals.
@@ -197,72 +205,75 @@ def _linear_trajectory(ops: _LinearOps, Y, Lam_plus, P, Q):
 # Unknown layout groups time slot t = 0..m-1 as (lam_t, y_{t+1}); equation
 # rows pair the adjoint residual R2_t with the state residual R1_t.  The
 # Jacobian is block banded with scalar bandwidths (3n-1, 3n-1); it is
-# assembled directly in LAPACK gbsv storage.
+# assembled directly in LAPACK gbsv storage, ab[l+u+i-j, j] = A[i, j].
 
-class _Stencil:
-    def __init__(self, n: int, m: int):
-        l = u = 3 * n - 1
-        self.l, self.u = l, u
-        self.dim = 2 * n * m
-        self.rows = 2 * l + u + 1
-        ts = np.arange(m)
-
-        def idx(row0, col0, tsel):
-            r = (2 * n * tsel)[:, None, None] + row0 + np.arange(n)[None, :, None]
-            c = (2 * n * tsel)[:, None, None] + col0 + np.arange(n)[None, None, :]
-            band, cols = np.broadcast_arrays(l + u + r - c, c)
-            return band.ravel(), cols.ravel()
-
-        self.R2_lam = idx(0, 0, ts)
-        self.R2_lam_next = idx(0, 2 * n, ts[:-1])
-        self.R2_y = idx(0, -n, ts[1:])
-        self.R1_y_next = idx(n, n, ts)
-        self.R1_y = idx(n, -n, ts[1:])
-        self.R1_lam_next = idx(n, 2 * n, ts[:-1])
+def _bandwidth(n: int) -> int:
+    return 3 * n - 1
 
 
-@lru_cache(maxsize=32)
-def _stencil(n: int, m: int) -> _Stencil:
-    return _Stencil(n, m)
+def _block_view(ab: Array, n: int, row0: int, col0: int, t0: int,
+                count: int) -> Array:
+    """Strided view of ``ab`` on one block type of the banded Jacobian.
+
+    Element [t, a, b] is the storage of A[i, j] with i = 2n(t0+t) + row0 + a
+    and j = 2n(t0+t) + col0 + b: slot t0+t's block at row offset ``row0`` and
+    column offset ``col0`` (-n and 2n reach into the previous and the next
+    slot).  In column-major ``ab`` that entry sits at flat index
+    (l+u+i-j) + rows*j, so a, b and t step by 1, rows-1 and 2n*rows.
+    """
+    rows = ab.shape[0]
+    lu = 2 * _bandwidth(n)
+    j0 = 2 * n * t0 + col0
+    start = (lu + row0 - col0) + rows * j0
+    item = ab.itemsize
+    return np.lib.stride_tricks.as_strided(
+        ab.reshape(-1, order="F")[start:], shape=(count, n, n),
+        strides=(2 * n * rows * item, item, (rows - 1) * item))
 
 
 def _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha):
     R1 = y[1:] - y[:-1] - tau * problem.eval_rhs_many(y[1:]) \
         + tau * (lam[1:] @ bbt_over_alpha.T)
     jac = problem.eval_jacobian_many(y[:-1])
-    R2 = lam[:-1] - tau * np.einsum("tji,tj->ti", jac, lam[:-1]) - lam[1:]
+    # difference neighbours first: lam_j - lam_{j+1} is exact, whereas
+    # (lam_j - tau*...) would round at the scale of lam_j on every step,
+    # noise that each Newton step carries into Q = lam_0 summed over the
+    # window
+    R2 = (lam[:-1] - lam[1:]) - tau * np.einsum("tji,tj->ti", jac, lam[:-1])
     return R1, R2
 
 
-def _assemble_banded(problem, y, lam, tau, st: _Stencil, bbt_over_alpha,
+def _assemble_banded(problem, y, lam, tau, bbt_over_alpha,
                      gauss_newton: bool, terminal: bool = False) -> Array:
     n = problem.dim
-    m = st.dim // (2 * n)
-    ab = np.zeros((st.rows, st.dim), order="F")
+    m = len(y) - 1
+    l = _bandwidth(n)
+    ab = np.zeros((3 * l + 1, 2 * n * m), order="F")
     eye = np.eye(n)
     jac = problem.eval_jacobian_many(y)
-    ab[st.R2_lam[0], st.R2_lam[1]] = (eye - tau * np.transpose(jac[:-1], (0, 2, 1))).ravel()
-    ab[st.R2_lam_next[0], st.R2_lam_next[1]] = np.broadcast_to(-eye, (m - 1, n, n)).ravel()
+    # R2_t = lam_t - tau f'(y_t)^T lam_t - lam_{t+1}; y_t is slot t-1's
+    # state column, n columns left of slot t
+    _block_view(ab, n, 0, 0, 0, m)[:] = eye - tau * np.transpose(jac[:-1], (0, 2, 1))
+    _block_view(ab, n, 0, 2 * n, 0, m - 1)[:] = -eye
     if not gauss_newton:
         K = problem.eval_hess_coupling_many(y[:-1], lam[:-1])
-        ab[st.R2_y[0], st.R2_y[1]] = (-tau * K[1:]).ravel()
-    ab[st.R1_y_next[0], st.R1_y_next[1]] = (eye - tau * jac[1:]).ravel()
-    ab[st.R1_y[0], st.R1_y[1]] = np.broadcast_to(-eye, (m - 1, n, n)).ravel()
-    ab[st.R1_lam_next[0], st.R1_lam_next[1]] = np.broadcast_to(
-        tau * bbt_over_alpha, (m - 1, n, n)).ravel()
+        _block_view(ab, n, 0, -n, 1, m - 1)[:] = -tau * K[1:]
+    # R1_t = y_{t+1} - y_t - tau f(y_{t+1}) + tau BB^T lam_{t+1} / alpha
+    _block_view(ab, n, n, n, 0, m)[:] = eye - tau * jac[1:]
+    _block_view(ab, n, n, -n, 1, m - 1)[:] = -eye
+    _block_view(ab, n, n, 2 * n, 0, m - 1)[:] = tau * bbt_over_alpha
     if terminal:
         # lam_m = y_m - y_target puts y_m (the last slot's state column) into
         # R2_{m-1} with -I and into R1_{m-1} with tau*BB^T/alpha; both
         # blocks lie inside the band.
-        i, j = np.ogrid[:n, :n]
-        band, col = st.l + st.u + i - j, 2 * n * (m - 1) + n + j
-        ab[band - n, col] = -eye
-        ab[band, col] += tau * bbt_over_alpha
+        _block_view(ab, n, 0, n, m - 1, 1)[:] = -eye
+        _block_view(ab, n, n, n, m - 1, 1)[:] += tau * bbt_over_alpha
     return ab
 
 
-def _banded_solve(st: _Stencil, ab: Array, rhs: Array, context: str) -> Array:
-    _, _, x, info = _lapack.dgbsv(st.l, st.u, ab, rhs,
+def _banded_solve(n: int, ab: Array, rhs: Array, context: str) -> Array:
+    l = _bandwidth(n)
+    _, _, x, info = _lapack.dgbsv(l, l, ab, rhs,
                                   overwrite_ab=1, overwrite_b=0)
     if info != 0:
         raise SingularStepError(
@@ -271,38 +282,47 @@ def _banded_solve(st: _Stencil, ab: Array, rhs: Array, context: str) -> Array:
 
 
 def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
-                            context: str):
+                            context: str, start=None):
     """Damped Newton for one window: y_0 = Y and lam_m = Lam_plus.
 
     With ``Lam_plus=None`` the right end carries the terminal condition
     lam_m = y_m - y_target instead, so the window is the whole optimality
     system on its grid; the adjoints then start at ones (the paper's default
-    guess).  Returns (states, adjoints, Newton iterations).
+    guess).  ``start`` is a (states, adjoints) pair of an earlier solve on
+    the same grid to start from instead of constants; the boundary values
+    are written into it and at least one step is taken (see the module
+    docstring).  Returns (states, adjoints, Newton iterations).
     """
     n = problem.dim
-    st = _stencil(n, m)
     bbt_over_alpha = problem.bbt() / problem.alpha
     terminal = Lam_plus is None
-    y = np.tile(np.asarray(Y, dtype=float), (m + 1, 1))
-    lam = np.tile(np.ones(n) if terminal else np.asarray(Lam_plus, dtype=float),
-                  (m + 1, 1))
+    if start is None:
+        y = np.tile(np.asarray(Y, dtype=float), (m + 1, 1))
+        lam = np.tile(np.ones(n) if terminal
+                      else np.asarray(Lam_plus, dtype=float), (m + 1, 1))
+    else:
+        y, lam = np.array(start[0], dtype=float), np.array(start[1], dtype=float)
+        y[0] = Y
+        if not terminal:
+            lam[-1] = Lam_plus
     if terminal:
         lam[-1] = y[-1] - problem.y_target
+    min_steps = 0 if start is None else 1
     R1, R2 = _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha)
     res = max(np.abs(R1).max(), np.abs(R2).max()) if m else 0.0
     res0 = max(res, 1.0)
     iters = 0
-    while res > tol:
+    while res > tol or iters < min_steps:
         if iters >= max_newton:
             raise NewtonDivergenceError(
                 f"window Newton needed more than {max_newton} iterations "
                 f"({context}); residual {res:.3e}", residual=res)
-        ab = _assemble_banded(problem, y, lam, tau, st, bbt_over_alpha,
+        ab = _assemble_banded(problem, y, lam, tau, bbt_over_alpha,
                               gauss_newton=False, terminal=terminal)
         rhs = np.empty((m, 2 * n))
         rhs[:, :n] = -R2
         rhs[:, n:] = -R1
-        du = _banded_solve(st, ab, rhs.ravel(), context).reshape(m, 2 * n)
+        du = _banded_solve(n, ab, rhs.ravel(), context).reshape(m, 2 * n)
         dlam, dy = du[:, :n], du[:, n:]
         # damped update: halve until the residual decreases
         step = 1.0
@@ -341,7 +361,8 @@ def _window_steps(grid: TimeGrid, coarse: bool) -> tuple[float, int]:
     return grid.fine_step, grid.fine_steps
 
 
-def _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton, coarse):
+def _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton, coarse,
+               start=None):
     L = grid.num_subintervals
     if not (1 <= ell <= L):
         raise InvalidParameterError(f"sub-interval index {ell} not in 1..{L}")
@@ -353,10 +374,14 @@ def _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton, coarse):
         P, Q = ops.propagate(Y, Lam_plus, problem.alpha)
         traj = _linear_trajectory(ops, Y, Lam_plus, P, Q)
         return P, Q, traj
+    if start is not None and start.steps != m:
+        raise InvalidParameterError(
+            f"start trajectory has {start.steps} steps, window {ell} has {m}")
     kind = "coarse" if coarse else "fine"
     y, lam, iters = _solve_window_nonlinear(
         problem, Y, Lam_plus, tau, m, tol, max_newton,
-        context=f"{kind} window {ell}")
+        context=f"{kind} window {ell}",
+        start=None if start is None else (start.states, start.adjoints))
     traj = LocalTrajectory(tau, m, states=y, adjoints=lam,
                            newton_iterations=iters)
     return y[-1].copy(), lam[0].copy(), traj
@@ -365,10 +390,17 @@ def _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton, coarse):
 def fine_propagate(problem: ControlProblem, grid: TimeGrid, ell: int,
                    Y: Array, Lam_plus: Array,
                    tol: float = DEFAULT_LOCAL_TOL,
-                   max_newton: int = DEFAULT_MAX_NEWTON):
-    """Solve window ``ell`` on the fine step; returns (P, Q, trajectory)."""
+                   max_newton: int = DEFAULT_MAX_NEWTON,
+                   start: Optional[LocalTrajectory] = None):
+    """Solve window ``ell`` on the fine step; returns (P, Q, trajectory).
+
+    ``start`` is an earlier fine trajectory of the same window (the previous
+    outer iterate's); a nonlinear window's Newton iteration starts from it
+    and takes at least one step.  Linear windows are closed-form and ignore
+    it.
+    """
     return _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton,
-                      coarse=False)
+                      coarse=False, start=start)
 
 
 @dataclass
@@ -410,12 +442,11 @@ class CoarseLinearization:
                 # one factorization, 2n right-hand sides (unit dY then dLam)
                 traj = self.trajectory
                 m = traj.steps
-                st = _stencil(n, m)
                 bbt_over_alpha = self.problem.bbt() / self.problem.alpha
                 ab = _assemble_banded(self.problem, traj.states, traj.adjoints,
-                                      traj.tau, st, bbt_over_alpha, key)
+                                      traj.tau, bbt_over_alpha, key)
                 eye = np.eye(n)
-                rhs = np.zeros((st.dim, 2 * n))
+                rhs = np.zeros((2 * n * m, 2 * n))
                 for i in range(n):
                     rhs[:, i] = _derivative_rhs(
                         self.problem, traj, eye[i], np.zeros(n), key,
@@ -423,8 +454,13 @@ class CoarseLinearization:
                     rhs[:, n + i] = _derivative_rhs(
                         self.problem, traj, np.zeros(n), eye[i], key,
                         bbt_over_alpha)
-                du = _banded_solve(st, ab, rhs,
-                                   context=f"window {self.subinterval_index} blocks")
+                try:
+                    du = _banded_solve(
+                        n, ab, rhs,
+                        context=f"window {self.subinterval_index} blocks")
+                except SingularStepError as exc:
+                    exc.subinterval = self.subinterval_index
+                    raise
                 top = du[0:n]
                 bottom = du[(m - 1) * 2 * n + n: m * 2 * n]
                 blocks = (bottom[:, :n].copy(), bottom[:, n:].copy(),

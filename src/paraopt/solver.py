@@ -19,14 +19,14 @@ any worker count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._parallel import parallel_map, resolve_workers
 from .errors import (InvalidParameterError, NewtonDivergenceError,
-                     NoConvergenceError)
+                     NoConvergenceError, SingularStepError)
 from .model import ControlProblem, InterfaceVector, TimeGrid
 from .propagators import (_linear_ops, _solve_window_nonlinear,
                           coarse_linearize, fine_propagate,
@@ -94,6 +94,8 @@ class ConvergenceReport:
     final: InterfaceVector
     message: str = ""
     verified_residual: Optional[float] = None
+    # per history row: the Newton steps of the L fine windows, window order
+    newton_iterations: list = field(default_factory=list)
 
     @property
     def final_residual(self) -> float:
@@ -124,13 +126,14 @@ def default_initial_guess(problem: ControlProblem, grid: TimeGrid,
     return InterfaceVector(states, adjoints)
 
 
-def _window_task(solve, problem, grid, X, tol, max_newton):
-    """Task solving window ell from X; a Newton failure names the window."""
+def _window_task(solve, problem, grid, X, tol, max_newton, starts=None):
+    """Task solving window ell from X; a window failure names the window."""
     def task(ell):
+        warm = {} if starts is None else {"start": starts[ell - 1]}
         try:
             return solve(problem, grid, ell, X.states[ell - 1],
-                         X.adjoints[ell - 1], tol, max_newton)
-        except NewtonDivergenceError as exc:
+                         X.adjoints[ell - 1], tol, max_newton, **warm)
+        except (NewtonDivergenceError, SingularStepError) as exc:
             exc.subinterval = ell
             raise
     return task
@@ -138,14 +141,22 @@ def _window_task(solve, problem, grid, X, tol, max_newton):
 
 def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
              tol: float = 1e-12, max_newton: int = 50,
-             workers: int = 1):
-    """Matching-condition residual F(X) and the window trajectories."""
+             workers: int = 1, starts: Optional[list] = None):
+    """Matching-condition residual F(X) and the window trajectories.
+
+    ``starts`` holds the L fine trajectories of an earlier call on the same
+    grid; each window's Newton iteration starts from its own (see
+    :func:`fine_propagate`).
+    """
     L = grid.num_subintervals
     n = problem.dim
     if X.num_subintervals != L or X.dim != n:
         raise InvalidParameterError("interface vector does not fit the grid")
+    if starts is not None and len(starts) != L:
+        raise InvalidParameterError("need one start trajectory per window")
     results = parallel_map(
-        _window_task(fine_propagate, problem, grid, X, tol, max_newton),
+        _window_task(fine_propagate, problem, grid, X, tol, max_newton,
+                     starts),
         range(1, L + 1), workers)
     F = np.empty((2 * L + 1, n))
     F[0] = X.states[0] - problem.y_init
@@ -321,8 +332,10 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
 
     When ``reference`` is given, the max-norm interface error against it is
     recorded per iteration (the convergence-history metric of the
-    experiments).  Returns a report; ``converged`` is False when the
-    iteration limit or the divergence guard hits.
+    experiments).  Each residual evaluation after the first warm-starts the
+    fine windows from the trajectories of the previous one.  Returns a
+    report; ``converged`` is False when the iteration limit or the
+    divergence guard hits.
     """
     options = options or ParaoptOptions()
     L = grid.num_subintervals
@@ -333,18 +346,20 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     errors = [] if reference is not None else None
     inner_iterations = []
     wall_times = []
+    newton_iterations = []
     message = ""
 
-    def record(F, seconds):
+    def record(F, trajs, seconds):
         residuals.append(float(np.abs(F).max()))
         if errors is not None:
             errors.append(X.diff_inf(reference))
         wall_times.append(seconds)
+        newton_iterations.append(tuple(t.newton_iterations for t in trajs))
 
     t0 = time.perf_counter()
-    F, _ = residual(problem, grid, X, options.local_tol,
-                    options.local_max_newton, workers)
-    record(F, time.perf_counter() - t0)
+    F, trajs = residual(problem, grid, X, options.local_tol,
+                        options.local_max_newton, workers)
+    record(F, trajs, time.perf_counter() - t0)
 
     converged = residuals[0] <= options.outer_tol
     guard = options.divergence_factor * max(residuals[0], 1e-300)
@@ -356,10 +371,10 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
             range(1, L + 1), workers)
         dX, stats = solve_jacobian_system(lins, -F, options, workers)
         X = InterfaceVector.from_stacked(X.to_stacked() + dX, L, problem.dim)
-        F, _ = residual(problem, grid, X, options.local_tol,
-                        options.local_max_newton, workers)
+        F, trajs = residual(problem, grid, X, options.local_tol,
+                            options.local_max_newton, workers, starts=trajs)
         inner_iterations.append(stats.iterations)
-        record(F, time.perf_counter() - t0)
+        record(F, trajs, time.perf_counter() - t0)
         converged = residuals[-1] <= options.outer_tol
         if not converged and residuals[-1] > guard:
             message = "divergence guard triggered"
@@ -376,6 +391,7 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
         wall_times=np.array(wall_times),
         final=X,
         message=message,
+        newton_iterations=newton_iterations,
     )
     if options.verify_final and converged:
         report.verified_residual = verify_residual(problem, grid, X, options)

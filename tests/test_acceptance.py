@@ -133,6 +133,7 @@ def lv_quadratic_run():
                                  fine_total=LV_FULL, outer_tol=1e-13)
 
 
+@pytest.mark.slow
 def test_lotka_volterra_quadratic_decay(lv_quadratic_run):
     with criterion("predator-prey r=1: quadratic error decay"):
         errors = [row[2] for row in lv_quadratic_run.artifact("history").rows]
@@ -140,19 +141,23 @@ def test_lotka_volterra_quadratic_decay(lv_quadratic_run):
         assert exponent >= 1.8, exponent
 
 
+@pytest.mark.slow
 def test_lotka_volterra_iteration_counts():
     with criterion("predator-prey r=1e-4: tolerance 1e-13 and iteration "
                    "counts within +-3 of (10, 9, 9, 9)"):
         for L, expected in ex.LV_TABLE_COUNTS.items():
+            # the counts and residuals need no reference solve
             result = ex.lotka_volterra_run(T=1.0 / 3.0, alpha=5e-2, L=L,
                                            r=1e-4, fine_total=LV_FULL,
-                                           outer_tol=1e-13)
+                                           outer_tol=1e-13,
+                                           with_reference=False)
             rows = result.artifact("history").rows
             assert rows[-1][1] <= 1e-13          # residual criterion
             count = result.params["outer_iterations"]
             assert abs(count - expected) <= 3, (L, count)
 
 
+@pytest.mark.slow
 def test_lotka_volterra_two_minima():
     with criterion("predator-prey long horizon: two distinct minima, "
                    "objective values within 10%"):

@@ -3,8 +3,9 @@ import pytest
 
 from paraopt import (SingularStepError, coarse_linearize, derivative_action,
                      fine_propagate, make_dahlquist, make_grid, make_heat_1d,
-                     make_lotka_volterra)
-from paraopt.propagators import window_recurrence_residual
+                     make_lotka_volterra, propagators)
+from paraopt.propagators import (_assemble_banded, _nonlinear_residual,
+                                 window_recurrence_residual)
 
 
 def test_dahlquist_single_step_closed_form():
@@ -205,3 +206,87 @@ def test_newton_iteration_counts_recorded():
     g2 = make_grid(1.0, 1, 4, 2)
     _, _, traj2 = fine_propagate(p2, g2, 1, [1.0], [0.0])
     assert traj2.newton_iterations == 0   # direct linear solve
+
+
+def _dense_window_jacobian(p, y, lam, tau, gauss_newton, terminal):
+    """The window Jacobian block by block, in plain dense storage."""
+    n, m = p.dim, len(y) - 1
+    A = np.zeros((2 * n * m, 2 * n * m))
+    eye = np.eye(n)
+    bbt = p.bbt() / p.alpha
+    jac = p.eval_jacobian_many(y)
+    K = p.eval_hess_coupling_many(y[:-1], lam[:-1])
+    for t in range(m):
+        r2, r1 = 2 * n * t, 2 * n * t + n     # rows of R2_t and R1_t
+        lam_t, y_next = 2 * n * t, 2 * n * t + n
+        A[r2:r2 + n, lam_t:lam_t + n] = eye - tau * jac[t].T
+        A[r1:r1 + n, y_next:y_next + n] = eye - tau * jac[t + 1]
+        if t + 1 < m:
+            lam_next = 2 * n * (t + 1)
+            A[r2:r2 + n, lam_next:lam_next + n] = -eye
+            A[r1:r1 + n, lam_next:lam_next + n] = tau * bbt
+        if t >= 1:
+            y_t = 2 * n * (t - 1) + n
+            A[r1:r1 + n, y_t:y_t + n] = -eye
+            if not gauss_newton:
+                A[r2:r2 + n, y_t:y_t + n] = -tau * K[t]
+    if terminal:   # lam_m = y_m - y_target
+        y_m = 2 * n * (m - 1) + n
+        A[2 * n * (m - 1):2 * n * (m - 1) + n, y_m:y_m + n] = -eye
+        A[2 * n * (m - 1) + n:2 * n * m, y_m:y_m + n] += tau * bbt
+    return A
+
+
+@pytest.mark.parametrize("gauss_newton,terminal",
+                         [(False, False), (True, False), (False, True)])
+def test_banded_assembly_matches_dense_jacobian(gauss_newton, terminal):
+    p = make_lotka_volterra()
+    n, m, tau = 2, 4, 1e-2
+    rng = np.random.default_rng(3)
+    y = np.array([20.0, 10.0]) + rng.standard_normal((m + 1, n))
+    lam = rng.standard_normal((m + 1, n))
+    if terminal:
+        lam[-1] = y[-1] - p.y_target
+    bbt = p.bbt() / p.alpha
+    ab = _assemble_banded(p, y, lam, tau, bbt, gauss_newton, terminal)
+    l = 3 * n - 1
+    dense = np.zeros((2 * n * m, 2 * n * m))
+    for i in range(2 * n * m):
+        for j in range(max(0, i - l), min(2 * n * m, i + l + 1)):
+            dense[i, j] = ab[2 * l + i - j, j]
+    expected = _dense_window_jacobian(p, y, lam, tau, gauss_newton, terminal)
+    assert np.array_equal(dense, expected)
+    assert np.count_nonzero(ab) == np.count_nonzero(expected)
+    if gauss_newton:
+        return
+    # the Newton variant is the derivative of the window residual
+
+    def stacked_residual(u):
+        yy, ll = y.copy(), lam.copy()
+        slots = u.reshape(m, 2 * n)
+        ll[:-1], yy[1:] = slots[:, :n], slots[:, n:]
+        if terminal:
+            ll[-1] = yy[-1] - p.y_target
+        R1, R2 = _nonlinear_residual(p, yy, ll, tau, bbt)
+        return np.hstack([R2, R1]).ravel()
+
+    u0 = np.hstack([lam[:-1], y[1:]]).ravel()
+    eps = 1e-6
+    fd = np.column_stack([
+        (stacked_residual(u0 + eps * e) - stacked_residual(u0 - eps * e))
+        / (2 * eps) for e in np.eye(u0.size)])
+    assert np.abs(fd - expected).max() <= 1e-6 * np.abs(expected).max()
+
+
+def test_blocks_singular_step_names_its_window(monkeypatch):
+    p = make_lotka_volterra()
+    g = make_grid(1.0 / 3.0, 4, 40, 4)
+    lin = coarse_linearize(p, g, 3, p.y_init, [1.0, 1.0])
+
+    def singular(*args, **kwargs):
+        raise SingularStepError("singular")
+
+    monkeypatch.setattr(propagators, "_banded_solve", singular)
+    with pytest.raises(SingularStepError) as info:
+        lin.blocks()
+    assert info.value.subinterval == 3

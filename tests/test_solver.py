@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from paraopt import (InterfaceVector, InvalidParameterError,
                      NewtonDivergenceError, NoConvergenceError, ParaoptOptions,
-                     apply_approx_jacobian, coarse_linearize,
-                     default_initial_guess, make_dahlquist, make_grid,
-                     make_heat_1d, make_lotka_volterra, paraopt_solve,
-                     reference_solve, residual, solve_jacobian_system)
+                     SingularStepError, apply_approx_jacobian,
+                     coarse_linearize, default_initial_guess, fine_propagate,
+                     make_dahlquist, make_grid, make_heat_1d,
+                     make_lotka_volterra, paraopt_solve, reference_solve,
+                     residual, solve_jacobian_system)
 from paraopt import linear_analysis as la
 from paraopt import solver
+from paraopt.propagators import window_recurrence_residual
 from paraopt.solver import gmres, verify_residual
 
 
@@ -345,6 +347,23 @@ def test_coarse_failure_names_its_window(monkeypatch):
     assert info.value.subinterval == 2
 
 
+@pytest.mark.parametrize("attr", ["fine_propagate", "coarse_linearize"])
+def test_singular_step_names_its_window(monkeypatch, attr):
+    original = getattr(solver, attr)
+
+    def singular(problem, grid, ell, *args, **kwargs):
+        if ell == 2:
+            raise SingularStepError("singular window system")
+        return original(problem, grid, ell, *args, **kwargs)
+
+    monkeypatch.setattr(solver, attr, singular)
+    p = make_lotka_volterra()
+    with pytest.raises(SingularStepError) as info:
+        paraopt_solve(p, make_grid(1.0 / 3.0, 3, 40, 4),
+                      ParaoptOptions(workers=2))
+    assert info.value.subinterval == 2
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(y_init=st.tuples(st.floats(19.0, 21.0), st.floats(9.5, 10.5)),
        y_target=st.tuples(st.floats(95.0, 105.0), st.floats(19.0, 21.0)),
@@ -362,14 +381,69 @@ def test_paraopt_matches_nonlinear_reference(y_init, y_target, T, L, N,
     assert err <= L * N * options.local_tol
 
 
+# -- warm-started fine windows -----------------------------------------------
+
+LV_PRESET = dict(inner_solver="assembled_direct", outer_tol=1e-11)
+
+
+def lv_preset():
+    return make_lotka_volterra(), make_grid(1.0 / 3.0, 6, 50, 5)
+
+
+def test_warm_started_windows_take_one_newton_step_at_the_end():
+    p, g = lv_preset()
+    rep = paraopt_solve(p, g, ParaoptOptions(workers=1, **LV_PRESET))
+    assert rep.converged
+    rows = rep.newton_iterations
+    assert len(rows) == rep.iterations + 1
+    assert all(len(row) == g.num_subintervals for row in rows)
+    assert min(rows[0]) >= 2                   # cold start from the guess
+    for row in rows[-3:]:                      # the iterates barely move
+        assert row == (1,) * g.num_subintervals
+
+
+def test_warm_start_within_tolerance_still_takes_one_step():
+    p, g = lv_preset()
+    X = default_initial_guess(p, g)
+    options = ParaoptOptions(**LV_PRESET)
+    P, Q, cold = fine_propagate(p, g, 2, X.states[1], X.adjoints[1],
+                                options.local_tol)
+    assert window_recurrence_residual(p, cold) <= options.local_tol
+    P2, Q2, warm = fine_propagate(p, g, 2, X.states[1], X.adjoints[1],
+                                  options.local_tol, start=cold)
+    assert warm.newton_iterations == 1
+    assert np.abs(P2 - P).max() <= g.fine_steps * options.local_tol
+    assert np.abs(Q2 - Q).max() <= g.fine_steps * options.local_tol
+
+
+def test_warm_resolves_of_a_long_window_do_not_drift():
+    # each warm re-solve takes one Newton step; its round-off must not walk
+    # P and Q away over a 20k-step window
+    p = make_lotka_volterra()
+    g = make_grid(1.0 / 3.0, 12, 20_000, 20)
+    Y, Lam = np.array([25.0, 12.0]), np.array([3.0, -1.0])
+    P0, Q0, traj = fine_propagate(p, g, 5, Y, Lam)
+    for _ in range(6):
+        P, Q, traj = fine_propagate(p, g, 5, Y, Lam, start=traj)
+        assert np.all(np.abs(P - P0) <= 4 * np.spacing(np.abs(P0)))
+        assert np.all(np.abs(Q - Q0) <= 4 * np.spacing(np.abs(Q0)))
+
+
+def test_warm_start_rejects_a_trajectory_of_another_grid():
+    p, g = lv_preset()
+    _, _, other = fine_propagate(p, make_grid(1.0 / 3.0, 6, 40, 5), 1,
+                                 p.y_init, [1.0, 1.0])
+    with pytest.raises(InvalidParameterError):
+        fine_propagate(p, g, 1, p.y_init, [1.0, 1.0], start=other)
+
+
 # -- determinism across worker counts ----------------------------------------
 
 @pytest.mark.parametrize("preset", ["lv", "heat"])
 def test_worker_count_invariance(preset):
     if preset == "lv":
-        p = make_lotka_volterra()
-        g = make_grid(1.0 / 3.0, 6, 50, 5)
-        opts = dict(inner_solver="assembled_direct", outer_tol=1e-11)
+        p, g = lv_preset()
+        opts = LV_PRESET
     else:
         p = make_heat_1d(n=10)
         g = make_grid(1e-2, 6, 30, 6)
@@ -382,3 +456,4 @@ def test_worker_count_invariance(preset):
                               other.final.to_stacked())
         assert np.array_equal(base.residuals, other.residuals)
         assert base.inner_iterations == other.inner_iterations
+        assert base.newton_iterations == other.newton_iterations
