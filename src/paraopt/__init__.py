@@ -15,18 +15,18 @@ from .errors import (InvalidParameterError, NewtonDivergenceError,
 from .model import (ControlProblem, InterfaceVector, TimeGrid, make_dahlquist,
                     make_grid, make_heat_1d, make_lotka_volterra)
 from .propagators import (CoarseLinearization, LocalTrajectory,
-                          coarse_linearize, derivative_action, fine_propagate)
-from .solver import (ConvergenceReport, ParaoptOptions, apply_approx_jacobian,
-                     default_initial_guess, paraopt_solve, reference_solve,
-                     residual, solve_jacobian_system)
+                          coarse_linearize, fine_propagate)
+from .solver import (ConvergenceReport, ParaoptOptions, default_initial_guess,
+                     paraopt_solve, reference_solve, residual,
+                     solve_jacobian_system)
 
 __all__ = [
     "ControlProblem", "TimeGrid", "InterfaceVector",
     "make_dahlquist", "make_lotka_volterra", "make_heat_1d", "make_grid",
     "LocalTrajectory", "CoarseLinearization",
-    "fine_propagate", "coarse_linearize", "derivative_action",
+    "fine_propagate", "coarse_linearize",
     "ParaoptOptions", "ConvergenceReport",
-    "residual", "apply_approx_jacobian", "solve_jacobian_system",
+    "residual", "solve_jacobian_system",
     "paraopt_solve", "default_initial_guess", "reference_solve",
     "ParaoptError", "InvalidParameterError", "NewtonDivergenceError",
     "NoConvergenceError", "SingularStepError", "SingularMatrixError",

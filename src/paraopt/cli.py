@@ -316,12 +316,8 @@ def _emit(result, cfg) -> int:
 # ---------------------------------------------------------------------------
 
 def _history_result(name, report):
-    res = ex.ExperimentResult(name)
-    res.artifacts.append(ex.Artifact("history",
-                                     ["iter", "residual_inf", "err_inf",
-                                      "inner_iters", "wall_seconds"],
-                                     report.history_rows()))
-    return res
+    return ex.ExperimentResult(
+        name, artifacts=[ex._history_artifact("history", report)])
 
 
 def _run_analyze(cfg):

@@ -19,7 +19,8 @@ import numpy as np
 from . import linear_analysis as la
 from .errors import InvalidParameterError, NoConvergenceError
 from .model import (ControlProblem, InterfaceVector, TimeGrid, make_dahlquist,
-                    make_grid, make_heat_1d, make_lotka_volterra)
+                    make_grid, make_heat_1d, make_lotka_volterra,
+                    step_count)
 from .propagators import fine_propagate
 from .solver import (VARIANT_GAUSS_NEWTON, VARIANT_NEWTON,
                      ConvergenceReport, ParaoptOptions, paraopt_solve,
@@ -225,21 +226,13 @@ _HISTORY_COLUMNS = ["iter", "residual_inf", "err_inf", "inner_iters",
                     "wall_seconds"]
 
 
-def _lv_problem(alpha: float) -> ControlProblem:
-    return make_lotka_volterra(alpha=alpha)
-
-
 def _lv_grid(T: float, L: int, r: float, fine_total: int) -> TimeGrid:
     if fine_total % L:
         raise InvalidParameterError(
             f"total fine step count {fine_total} is not a multiple of L={L}")
     N = fine_total // L
-    mc = N * r
-    mc_int = round(mc)
-    if mc_int < 1 or abs(mc - mc_int) > 1e-9 * max(1.0, mc):
-        raise InvalidParameterError(
-            f"ratio r={r} gives a non-integer coarse step count per window")
-    return make_grid(T, L, N, mc_int)
+    return make_grid(T, L, N,
+                     step_count(N * r, f"coarse steps per window at r={r}"))
 
 
 def _history_artifact(name: str, report: ConvergenceReport) -> Artifact:
@@ -257,7 +250,7 @@ def lotka_volterra_run(T: float = 1.0 / 3.0, alpha: float = 5e-2, L: int = 10,
     Raises :class:`NoConvergenceError` when the outer iteration fails, which
     genuinely happens for long horizons (e.g. T=1 with a single window).
     """
-    problem = _lv_problem(alpha)
+    problem = make_lotka_volterra(alpha=alpha)
     grid = _lv_grid(T, L, r, fine_total)
     options = ParaoptOptions(outer_tol=outer_tol, variant=variant,
                              workers=workers, inner_solver="assembled_direct")
@@ -347,7 +340,7 @@ def lotka_volterra_minima(T: float = 1.0, L: int = 10,
     figures match the unhalved quadratic form, i.e. twice the objective
     with the customary 1/2 factors; the comparison accounts for that.
     """
-    problem = _lv_problem(5e-2)
+    problem = make_lotka_volterra(alpha=5e-2)
     grid = _lv_grid(T, L, 1.0, fine_total)
     result = ExperimentResult("lv_minima",
                               params=dict(T=T, L=L, fine_total=fine_total))
@@ -393,15 +386,8 @@ def heat_run(delta_t: float = 1e-7, r: float = 1e-1, alpha: float = 1e-4,
     control acts everywhere (B = I) and is emitted with ``modes_valid``
     False otherwise.
     """
-    DT = T / L
-    N = DT / delta_t
-    N_int = round(N)
-    if N_int < 1 or abs(N - N_int) > 1e-9 * max(1.0, N):
-        raise InvalidParameterError("delta_t does not tile the sub-interval")
-    mc = N_int * r
-    mc_int = round(mc)
-    if mc_int < 1 or abs(mc - mc_int) > 1e-9 * max(1.0, mc):
-        raise InvalidParameterError("ratio r gives no integer coarse count")
+    N_int = step_count(T / L / delta_t, "fine steps per window T/L/delta_t")
+    mc_int = step_count(N_int * r, f"coarse steps per window at r={r}")
     problem = make_heat_1d(n=n, control_support=control_support, alpha=alpha)
     grid = make_grid(T, L, N_int, mc_int)
     options = ParaoptOptions(outer_tol=outer_tol, workers=workers,
@@ -621,7 +607,7 @@ def timing_run(preset: str = "lotka_volterra",
     worker counts is the contract under test.
     """
     if preset == "lotka_volterra":
-        problem = _lv_problem(5e-2)
+        problem = make_lotka_volterra(alpha=5e-2)
         grid = _lv_grid(1.0 / 3.0, 12, 1e-3, fine_total)
     elif preset == "heat":
         problem = make_heat_1d()

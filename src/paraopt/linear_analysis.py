@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (InvalidParameterError, SingularMatrixError,
                      UnsupportedRegimeError)
-from .model import TimeGrid
+from .model import TimeGrid, step_count
 
 __all__ = [
     "DahlquistSetup", "SpectralSummary", "LinearIterationRun", "RhoSweep",
@@ -76,11 +76,7 @@ def scalar_coefficients(sigma: float, tau: float, DT: float,
         raise InvalidParameterError("step and sub-interval length must be positive")
     m = DT / tau
     if strict:
-        m_int = round(m)
-        if m_int < 1 or abs(m - m_int) > 1e-9 * max(1.0, m):
-            raise InvalidParameterError(
-                f"DT/tau = {m} is not a positive integer")
-        m = m_int
+        m = step_count(m, "DT/tau")
     if 1.0 - sigma * tau <= 0.0:
         raise InvalidParameterError("need 1 - sigma*tau > 0")
     if sigma == 0.0:

@@ -10,14 +10,19 @@ adjoint, ``ydot = f(y) - B B^T lam / alpha``, and the backward adjoint
 equation ``lamdot = -f'(y)^T lam`` with terminal condition
 ``lam(T) = y(T) - y_target``.
 
-Problems expose analytic derivatives (``jacobian`` and the Hessian action);
-solvers never fall back to finite differences.  Instances are immutable and
-safe to share between worker threads.
+A problem states its dynamics once.  A linear problem (``f(y) = A y``) carries
+only the matrix A as ``linear_matrix``; its windows are solved in closed
+form.  A nonlinear problem carries three batch callables over the rows of a
+state array: ``rhs_many`` for f, ``jacobian_many`` for f' and
+``hess_coupling_many`` for the y-derivative of f'(y)^T lam.  The window
+Newton solves call exactly these; solvers never fall back to finite
+differences.  Instances are immutable and safe to share between worker
+threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,42 +40,33 @@ class ControlProblem:
     ----------
     dim : int
         State dimension n.
-    rhs : callable
-        ``y -> f(y)``, length-n vector.
-    jacobian : callable
-        ``y -> f'(y)``, (n, n) matrix.
-    hessian_action : callable
-        ``(y, z) -> H(y, z)``, the directional derivative of ``jacobian`` at
-        ``y`` in direction ``z``; an (n, n) matrix, linear in ``z``.
     alpha : float
         Regularization weight of the control energy term, > 0.
     y_init, y_target : array
         Initial and target states, length n.
     control_operator : array, optional
         Matrix B applied to the control; identity when None.
-    is_linear : bool
-        Set when ``rhs`` is ``y -> A y`` for the stored ``linear_matrix``.
     linear_matrix : array, optional
-        The matrix A of a linear problem (required when ``is_linear``).
+        The (n, n) matrix A of a linear problem ``f(y) = A y``.  When given,
+        the batch callables are not used.
+    rhs_many : callable
+        ``Y -> f(Y)``, (m, n) -> (m, n), one state per row.
+    jacobian_many : callable
+        ``Y -> f'(Y)``, (m, n) -> (m, n, n).
+    hess_coupling_many : callable
+        ``(Y, Lam) -> K``, (m, n), (m, n) -> (m, n, n), the matrices
+        K(y, lam) with ``K(y, lam) z = H(y, z)^T lam``, where H(y, z) is the
+        directional derivative of f' at y in direction z; i.e. K is the
+        y-derivative of f'(y)^T lam.
 
-    Notes
-    -----
-    The optional ``*_many`` fields are vectorized evaluations over a batch of
-    states, shape (m, n) -> (m, n) / (m, n, n).  They are a performance hook
-    used by the sub-interval solvers; when absent a loop fallback is used.
-    ``hess_coupling_many(Y, Lam)`` returns the matrices K(y, lam) defined by
-    ``K(y, lam) z = H(y, z)^T lam``, i.e. the y-derivative of f'(y)^T lam.
+    A problem without ``linear_matrix`` needs all three batch callables.
     """
 
     dim: int
-    rhs: Callable[[Array], Array]
-    jacobian: Callable[[Array], Array]
-    hessian_action: Callable[[Array, Array], Array]
     alpha: float
     y_init: Array
     y_target: Array
     control_operator: Optional[Array] = None
-    is_linear: bool = False
     linear_matrix: Optional[Array] = None
     rhs_many: Optional[Callable[[Array], Array]] = None
     jacobian_many: Optional[Callable[[Array], Array]] = None
@@ -88,37 +84,24 @@ class ControlProblem:
                 raise InvalidParameterError(f"{attr} must have length {self.dim}")
             object.__setattr__(self, attr, v)
             v.setflags(write=False)
-        if self.control_operator is not None:
-            B = np.asarray(self.control_operator, dtype=float)
-            if B.shape != (self.dim, self.dim):
-                raise InvalidParameterError("control_operator must be (n, n)")
-            object.__setattr__(self, "control_operator", B)
-            B.setflags(write=False)
-        if self.is_linear and self.linear_matrix is None:
-            raise InvalidParameterError("linear problems must store their matrix")
+        for attr in ("control_operator", "linear_matrix"):
+            if getattr(self, attr) is None:
+                continue
+            M = np.asarray(getattr(self, attr), dtype=float)
+            if M.shape != (self.dim, self.dim):
+                raise InvalidParameterError(f"{attr} must be (n, n)")
+            object.__setattr__(self, attr, M)
+            M.setflags(write=False)
+        if not self.is_linear and None in (self.rhs_many, self.jacobian_many,
+                                           self.hess_coupling_many):
+            raise InvalidParameterError(
+                "a nonlinear problem needs rhs_many, jacobian_many and "
+                "hess_coupling_many")
 
-    # -- batch evaluation helpers (fall back to per-row loops) --------
-
-    def eval_rhs_many(self, Y: Array) -> Array:
-        if self.rhs_many is not None:
-            return self.rhs_many(Y)
-        return np.stack([self.rhs(y) for y in Y])
-
-    def eval_jacobian_many(self, Y: Array) -> Array:
-        if self.jacobian_many is not None:
-            return self.jacobian_many(Y)
-        return np.stack([self.jacobian(y) for y in Y])
-
-    def eval_hess_coupling_many(self, Y: Array, Lam: Array) -> Array:
-        if self.hess_coupling_many is not None:
-            return self.hess_coupling_many(Y, Lam)
-        n = self.dim
-        out = np.empty((len(Y), n, n))
-        eye = np.eye(n)
-        for t in range(len(Y)):
-            for k in range(n):
-                out[t, :, k] = self.hessian_action(Y[t], eye[k]).T @ Lam[t]
-        return out
+    @property
+    def is_linear(self) -> bool:
+        """True when the dynamics are ``f(y) = linear_matrix @ y``."""
+        return self.linear_matrix is not None
 
     def bbt(self) -> Array:
         """The matrix B B^T coupling the adjoint into the state equation."""
@@ -233,24 +216,12 @@ def make_dahlquist(sigma: float, alpha: float, y_init: float = 1.0,
     """Scalar test problem ydot = sigma*y + c."""
     if not (alpha > 0):
         raise InvalidParameterError("alpha must be positive")
-    A = np.array([[float(sigma)]])
-
-    def rhs(y):
-        return sigma * np.asarray(y, dtype=float)
-
     return ControlProblem(
         dim=1,
-        rhs=rhs,
-        jacobian=lambda y: A.copy(),
-        hessian_action=lambda y, z: np.zeros((1, 1)),
         alpha=float(alpha),
         y_init=np.array([float(y_init)]),
         y_target=np.array([float(y_target)]),
-        is_linear=True,
-        linear_matrix=A,
-        rhs_many=lambda Y: sigma * Y,
-        jacobian_many=lambda Y: np.broadcast_to(A, (len(Y), 1, 1)),
-        hess_coupling_many=lambda Y, Lam: np.zeros((len(Y), 1, 1)),
+        linear_matrix=np.array([[float(sigma)]]),
         name="dahlquist",
     )
 
@@ -268,19 +239,6 @@ def make_lotka_volterra(a1: float = 10.0, b1: float = 0.2, a2: float = 0.2,
             raise InvalidParameterError(f"{nm} must be positive")
     if not (alpha > 0):
         raise InvalidParameterError("alpha must be positive")
-
-    def rhs(y):
-        return np.array([a1 * y[0] - b1 * y[0] * y[1],
-                         a2 * y[0] * y[1] - b2 * y[1]])
-
-    def jacobian(y):
-        return np.array([[a1 - b1 * y[1], -b1 * y[0]],
-                         [a2 * y[1], a2 * y[0] - b2]])
-
-    def hessian_action(y, z):
-        # H(y, z) = d/dr f'(y + r z); bilinear form of the quadratic terms.
-        return np.array([[-b1 * z[1], -b1 * z[0]],
-                         [a2 * z[1], a2 * z[0]]])
 
     def rhs_many(Y):
         return np.stack([a1 * Y[:, 0] - b1 * Y[:, 0] * Y[:, 1],
@@ -303,8 +261,7 @@ def make_lotka_volterra(a1: float = 10.0, b1: float = 0.2, a2: float = 0.2,
         return K
 
     return ControlProblem(
-        dim=2, rhs=rhs, jacobian=jacobian, hessian_action=hessian_action,
-        alpha=float(alpha), y_init=np.asarray(y_init, dtype=float),
+        dim=2, alpha=float(alpha), y_init=np.asarray(y_init, dtype=float),
         y_target=np.asarray(y_target, dtype=float),
         rhs_many=rhs_many, jacobian_many=jacobian_many,
         hess_coupling_many=hess_coupling_many,
@@ -350,18 +307,11 @@ def make_heat_1d(n: int = 50, control_support=(1.0 / 3.0, 2.0 / 3.0),
 
     return ControlProblem(
         dim=n,
-        rhs=lambda y: A @ y,
-        jacobian=lambda y: A.copy(),
-        hessian_action=lambda y, z: np.zeros((n, n)),
         alpha=float(alpha),
         y_init=y_init_fn(x),
         y_target=y_target_fn(x),
         control_operator=B,
-        is_linear=True,
         linear_matrix=A,
-        rhs_many=lambda Y: Y @ A.T,
-        jacobian_many=lambda Y: np.broadcast_to(A, (len(Y), n, n)),
-        hess_coupling_many=lambda Y, Lam: np.zeros((len(Y), n, n)),
         name="heat_1d",
     )
 
@@ -373,3 +323,15 @@ def make_grid(T: float, L: int, fine_steps_per_subinterval: int,
         raise InvalidParameterError("step counts must be positive integers")
     return TimeGrid(float(T), int(L), int(fine_steps_per_subinterval),
                     int(coarse_steps_per_subinterval))
+
+
+def step_count(value: float, what: str) -> int:
+    """``value`` as a step count: a positive integer up to 1e-9 relative slack.
+
+    Raises :class:`InvalidParameterError`, naming ``what``, when ``value``
+    rounds below 1 or lies farther than that from an integer.
+    """
+    count = round(value)
+    if count < 1 or abs(value - count) > 1e-9 * max(1.0, value):
+        raise InvalidParameterError(f"{what} = {value} is not a positive integer")
+    return int(count)

@@ -9,8 +9,7 @@ the left (y(T_l) = Y), the adjoint on the right (lam(T_{l+1}) = Lam_plus).
 ``coarse_linearize`` does the same on the coarse step and keeps the local
 solution; ``CoarseLinearization.blocks`` assembles from it the four
 derivative blocks dP/dY, dP/dLam, dQ/dY, dQ/dLam of the coarse propagator
-pair (by solving the linearized problem about the stored trajectory), and
-``derivative_action`` applies them.
+pair (by solving the linearized problem about the stored trajectory).
 
 Discretization (implicit Euler both directions, one function of this module
 per branch; the linear branch follows the discretely-optimal form whose
@@ -232,9 +231,9 @@ def _block_view(ab: Array, n: int, row0: int, col0: int, t0: int,
 
 
 def _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha):
-    R1 = y[1:] - y[:-1] - tau * problem.eval_rhs_many(y[1:]) \
+    R1 = y[1:] - y[:-1] - tau * problem.rhs_many(y[1:]) \
         + tau * (lam[1:] @ bbt_over_alpha.T)
-    jac = problem.eval_jacobian_many(y[:-1])
+    jac = problem.jacobian_many(y[:-1])
     # difference neighbours first: lam_j - lam_{j+1} is exact, whereas
     # (lam_j - tau*...) would round at the scale of lam_j on every step,
     # noise that each Newton step carries into Q = lam_0 summed over the
@@ -250,13 +249,13 @@ def _assemble_banded(problem, y, lam, tau, bbt_over_alpha,
     l = _bandwidth(n)
     ab = np.zeros((3 * l + 1, 2 * n * m), order="F")
     eye = np.eye(n)
-    jac = problem.eval_jacobian_many(y)
+    jac = problem.jacobian_many(y)
     # R2_t = lam_t - tau f'(y_t)^T lam_t - lam_{t+1}; y_t is slot t-1's
     # state column, n columns left of slot t
     _block_view(ab, n, 0, 0, 0, m)[:] = eye - tau * np.transpose(jac[:-1], (0, 2, 1))
     _block_view(ab, n, 0, 2 * n, 0, m - 1)[:] = -eye
     if not gauss_newton:
-        K = problem.eval_hess_coupling_many(y[:-1], lam[:-1])
+        K = problem.hess_coupling_many(y[:-1], lam[:-1])
         _block_view(ab, n, 0, -n, 1, m - 1)[:] = -tau * K[1:]
     # R1_t = y_{t+1} - y_t - tau f(y_{t+1}) + tau BB^T lam_{t+1} / alpha
     _block_view(ab, n, n, n, 0, m)[:] = eye - tau * jac[1:]
@@ -413,14 +412,6 @@ class CoarseLinearization:
     trajectory: LocalTrajectory
     _blocks: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def coarse_P(self) -> Array:
-        return self.trajectory.right_state
-
-    @property
-    def coarse_Q(self) -> Array:
-        return self.trajectory.left_adjoint
-
     def blocks(self, gauss_newton: bool = False):
         """The four derivative matrices (P_y, P_lam, Q_y, Q_lam).
 
@@ -489,26 +480,12 @@ def _derivative_rhs(problem, traj: LocalTrajectory, dY, dLam, gauss_newton,
     tau = traj.tau
     rhs = np.zeros(2 * n * m)
     if not gauss_newton:
-        K0 = problem.eval_hess_coupling_many(traj.states[:1],
-                                             traj.adjoints[:1])[0]
+        K0 = problem.hess_coupling_many(traj.states[:1], traj.adjoints[:1])[0]
         rhs[0:n] += tau * (K0 @ dY)
     rhs[n:2 * n] += dY
     rhs[(m - 1) * 2 * n: (m - 1) * 2 * n + n] += dLam
     rhs[(m - 1) * 2 * n + n: m * 2 * n] += -tau * (bbt_over_alpha @ dLam)
     return rhs
-
-
-def derivative_action(problem: ControlProblem, lin: CoarseLinearization,
-                      dY: Array, dLam: Array, gauss_newton: bool = False):
-    """Apply the coarse propagator derivatives: (dP, dQ) for (dY, dLam).
-
-    Multiplies by the cached blocks of :meth:`CoarseLinearization.blocks`.
-    """
-    n = problem.dim
-    dY = np.asarray(dY, dtype=float).reshape(n)
-    dLam = np.asarray(dLam, dtype=float).reshape(n)
-    Py, Pl, Qy, Ql = lin.blocks(gauss_newton)
-    return Py @ dY + Pl @ dLam, Qy @ dY + Ql @ dLam
 
 
 def window_recurrence_residual(problem: ControlProblem,

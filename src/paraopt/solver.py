@@ -38,9 +38,8 @@ INNER_KRYLOV = "krylov"
 INNER_DIRECT = "assembled_direct"
 VARIANT_NEWTON = "newton"
 VARIANT_GAUSS_NEWTON = "gauss_newton"
-GUESS_PAPER = "paper_default"
-GUESS_ZEROS = "zeros"
-GUESS_USER = "user_supplied"
+# the outer loop stops once ||F|| exceeds this multiple of ||F(X^0)||
+DIVERGENCE_FACTOR = 1e8
 
 
 @dataclass(frozen=True)
@@ -51,14 +50,10 @@ class ParaoptOptions:
     max_outer: int = 50
     inner_solver: str = INNER_KRYLOV
     inner_tol: float = 1e-10
-    inner_max_iters: Optional[int] = None   # None: the stacked dimension
     variant: str = VARIANT_NEWTON
-    initial_guess: str = GUESS_PAPER
     local_tol: float = 1e-12
     local_max_newton: int = 50
     workers: Optional[int] = None           # None: min(L, cores)
-    divergence_factor: float = 1e8
-    verify_final: bool = False
 
     def __post_init__(self):
         if self.outer_tol <= 0 or self.inner_tol <= 0 or self.local_tol <= 0:
@@ -69,8 +64,6 @@ class ParaoptOptions:
             raise InvalidParameterError(f"unknown inner solver {self.inner_solver!r}")
         if self.variant not in (VARIANT_NEWTON, VARIANT_GAUSS_NEWTON):
             raise InvalidParameterError(f"unknown variant {self.variant!r}")
-        if self.initial_guess not in (GUESS_PAPER, GUESS_ZEROS, GUESS_USER):
-            raise InvalidParameterError(f"unknown initial guess {self.initial_guess!r}")
 
 
 @dataclass
@@ -93,7 +86,6 @@ class ConvergenceReport:
     wall_times: Array                # seconds per history row
     final: InterfaceVector
     message: str = ""
-    verified_residual: Optional[float] = None
     # per history row: the Newton steps of the L fine windows, window order
     newton_iterations: list = field(default_factory=list)
 
@@ -115,15 +107,12 @@ class ConvergenceReport:
         return rows
 
 
-def default_initial_guess(problem: ControlProblem, grid: TimeGrid,
-                          zero_adjoints: bool = False) -> InterfaceVector:
-    """Linear interpolation between endpoints; unit (or zero) adjoints."""
+def default_initial_guess(problem: ControlProblem,
+                          grid: TimeGrid) -> InterfaceVector:
+    """The paper's guess: states interpolate the endpoints, adjoints are 1."""
     theta = grid.interface_times() / grid.horizon
     states = np.outer(1.0 - theta, problem.y_init) + np.outer(theta, problem.y_target)
-    L = grid.num_subintervals
-    adjoints = (np.zeros((L, problem.dim)) if zero_adjoints
-                else np.ones((L, problem.dim)))
-    return InterfaceVector(states, adjoints)
+    return InterfaceVector(states, np.ones((grid.num_subintervals, problem.dim)))
 
 
 def _window_task(solve, problem, grid, X, tol, max_newton, starts=None):
@@ -168,19 +157,12 @@ def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
     return F.ravel(), [r[2] for r in results]
 
 
-def apply_approx_jacobian(linearizations: list, dX: Array,
-                          variant: str = VARIANT_NEWTON,
-                          workers: int = 1) -> Array:
-    """Apply the coarse interface Jacobian built from the window blocks."""
-    L = len(linearizations)
-    dX = np.asarray(dX, dtype=float)
-    if dX.size != linearizations[0].problem.dim * (2 * L + 1):
-        raise InvalidParameterError("vector length does not match L windows")
-    return _jacobian_matvec(linearizations, variant, workers)[0](dX)
-
-
 def _jacobian_matvec(linearizations, variant, workers):
-    """Fast operator built from the cached window derivative blocks."""
+    """The coarse interface Jacobian J^G as an operator on (2L+1)n rows.
+
+    Built from the cached window derivative blocks; applied to the identity
+    it yields the assembled matrix.
+    """
     L = len(linearizations)
     problem = linearizations[0].problem
     n = problem.dim
@@ -188,7 +170,8 @@ def _jacobian_matvec(linearizations, variant, workers):
     blocks = parallel_map(lambda lin: lin.blocks(gn), linearizations, workers)
 
     def matvec(v):
-        w = v.reshape(2 * L + 1, n)
+        # v is a vector or a matrix of columns; J^G acts on its leading axis
+        w = v.reshape((2 * L + 1, n) + v.shape[1:])
         dY, dLam = w[:L + 1], w[L + 1:]
         out = np.empty_like(w)
         out[0] = dY[0]
@@ -199,34 +182,9 @@ def _jacobian_matvec(linearizations, variant, workers):
             _, _, Qy, Ql = blocks[ell]
             out[L + ell] = dLam[ell - 1] - Qy @ dY[ell] - Ql @ dLam[ell]
         out[2 * L] = dLam[L - 1] - dY[L]
-        return out.ravel()
+        return out.reshape(v.shape)
 
-    return matvec, blocks
-
-
-def _assemble_jacobian(blocks, n) -> Array:
-    L = len(blocks)
-    D = n * (2 * L + 1)
-    J = np.zeros((D, D))
-
-    def put(i, j, B):
-        J[n * i:n * (i + 1), n * j:n * (j + 1)] = B
-
-    eye = np.eye(n)
-    put(0, 0, eye)
-    for ell in range(1, L + 1):
-        Py, Pl, _, _ = blocks[ell - 1]
-        put(ell, ell, eye)
-        put(ell, ell - 1, -Py)
-        put(ell, L + ell, -Pl)
-    for ell in range(1, L):
-        _, _, Qy, Ql = blocks[ell]
-        put(L + ell, L + ell, eye)
-        put(L + ell, ell, -Qy)
-        put(L + ell, L + ell + 1, -Ql)
-    put(2 * L, 2 * L, eye)
-    put(2 * L, L, -eye)
-    return J
+    return matvec
 
 
 def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
@@ -287,28 +245,14 @@ def solve_jacobian_system(linearizations: list, rhs: Array,
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise InvalidParameterError("right-hand side must be finite")
-    n = linearizations[0].problem.dim
-    matvec, blocks = _jacobian_matvec(linearizations, options.variant, workers)
+    matvec = _jacobian_matvec(linearizations, options.variant, workers)
     if options.inner_solver == INNER_DIRECT:
-        J = _assemble_jacobian(blocks, n)
+        J = matvec(np.eye(rhs.size))
         dX = np.linalg.solve(J, rhs)
         res = np.linalg.norm(J @ dX - rhs) / max(np.linalg.norm(rhs), 1e-300)
         return dX, InnerStats(INNER_DIRECT, 0, float(res), True)
-    max_iters = options.inner_max_iters or rhs.size
-    dX, iters, relres, ok = gmres(matvec, rhs, options.inner_tol, max_iters)
+    dX, iters, relres, ok = gmres(matvec, rhs, options.inner_tol, rhs.size)
     return dX, InnerStats(INNER_KRYLOV, iters, float(relres), ok)
-
-
-def _initial_vector(problem, grid, options, x0) -> InterfaceVector:
-    if options.initial_guess == GUESS_USER:
-        if x0 is None:
-            raise InvalidParameterError("user_supplied guess requires x0")
-        return x0.copy()
-    if x0 is not None:
-        raise InvalidParameterError(
-            "x0 given but initial_guess is not 'user_supplied'")
-    return default_initial_guess(problem, grid,
-                                 zero_adjoints=options.initial_guess == GUESS_ZEROS)
 
 
 def verify_residual(problem: ControlProblem, grid: TimeGrid,
@@ -330,17 +274,20 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
                   x0: Optional[InterfaceVector] = None) -> ConvergenceReport:
     """Run the outer iteration until ||F||_inf <= outer_tol.
 
-    When ``reference`` is given, the max-norm interface error against it is
-    recorded per iteration (the convergence-history metric of the
-    experiments).  Each residual evaluation after the first warm-starts the
-    fine windows from the trajectories of the previous one.  Returns a
-    report; ``converged`` is False when the iteration limit or the
-    divergence guard hits.
+    The iteration starts from ``x0``, or from the paper's
+    :func:`default_initial_guess` when ``x0`` is None.  When ``reference``
+    is given, the max-norm interface error against it is recorded per
+    iteration (the convergence-history metric of the experiments).  Each
+    residual evaluation after the first warm-starts the fine windows from
+    the trajectories of the previous one.  Returns a report; ``converged``
+    is False when the iteration limit or the divergence guard hits.  To
+    re-check the final residual with fresh windows, call
+    :func:`verify_residual`.
     """
     options = options or ParaoptOptions()
     L = grid.num_subintervals
     workers = resolve_workers(options.workers, L)
-    X = _initial_vector(problem, grid, options, x0)
+    X = default_initial_guess(problem, grid) if x0 is None else x0.copy()
 
     residuals = []
     errors = [] if reference is not None else None
@@ -362,7 +309,7 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     record(F, trajs, time.perf_counter() - t0)
 
     converged = residuals[0] <= options.outer_tol
-    guard = options.divergence_factor * max(residuals[0], 1e-300)
+    guard = DIVERGENCE_FACTOR * max(residuals[0], 1e-300)
     while not converged and len(residuals) <= options.max_outer:
         t0 = time.perf_counter()
         lins = parallel_map(
@@ -382,7 +329,7 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     if not converged and not message:
         message = "iteration limit reached"
 
-    report = ConvergenceReport(
+    return ConvergenceReport(
         converged=converged,
         iterations=len(residuals) - 1,
         residuals=np.array(residuals),
@@ -393,9 +340,6 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
         message=message,
         newton_iterations=newton_iterations,
     )
-    if options.verify_final and converged:
-        report.verified_residual = verify_residual(problem, grid, X, options)
-    return report
 
 
 def reference_solve(problem: ControlProblem, grid: TimeGrid,

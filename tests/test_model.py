@@ -1,77 +1,81 @@
 import numpy as np
 import pytest
 
-from paraopt import (InvalidParameterError, InterfaceVector, make_dahlquist,
-                     make_grid, make_heat_1d, make_lotka_volterra)
-from paraopt.model import periodic_laplacian
+from paraopt import (ControlProblem, InvalidParameterError, InterfaceVector,
+                     coarse_linearize, make_dahlquist, make_grid, make_heat_1d,
+                     make_lotka_volterra)
+from paraopt.model import periodic_laplacian, step_count
 
+# distinct rates, so that a coefficient in the wrong slot shows
 ALL_PROBLEMS = [
-    lambda: make_dahlquist(-1.0, 1.0),
-    lambda: make_dahlquist(-16.0, 1.0),
     lambda: make_lotka_volterra(),
-    lambda: make_heat_1d(n=12),
+    lambda: make_lotka_volterra(a1=1.5, b1=0.7, a2=0.3, b2=2.0),
+    lambda: make_lotka_volterra(a1=0.4, b1=0.05, a2=1.1, b2=6.0),
+    lambda: make_lotka_volterra(a1=7.0, b1=2.5, a2=0.9, b2=0.35),
 ]
 
 
-def fd_jacobian_gap(problem, y):
-    """Central-difference check of the analytic Jacobian at one point."""
-    n = problem.dim
-    eps = 1e-6 * (1.0 + np.linalg.norm(y))
-    J = problem.jacobian(y)
-    worst = 0.0
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = eps
-        fd = (problem.rhs(y + e) - problem.rhs(y - e)) / (2 * eps)
-        worst = max(worst, np.linalg.norm(J[:, j] - fd))
-    return worst, np.linalg.norm(J)
+def sample_states(problem, seed, rows=5):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 30.0, size=(rows, problem.dim))
 
 
 @pytest.mark.parametrize("factory", ALL_PROBLEMS)
 def test_jacobian_matches_finite_differences(factory):
+    # jacobian_many against central differences of rhs_many, row by row
     problem = factory()
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        y = rng.uniform(0.5, 30.0, size=problem.dim)
-        gap, scale = fd_jacobian_gap(problem, y)
-        assert gap <= 1e-5 * (1.0 + scale)
+    Y = sample_states(problem, 7)
+    J = problem.jacobian_many(Y)
+    assert J.shape == (len(Y), problem.dim, problem.dim)
+    eps = 1e-6 * (1.0 + np.linalg.norm(Y, axis=1, keepdims=True))
+    for j in range(problem.dim):
+        E = np.zeros_like(Y)
+        E[:, j] = eps[:, 0]
+        fd = (problem.rhs_many(Y + E) - problem.rhs_many(Y - E)) / (2 * eps)
+        gap = np.linalg.norm(J[:, :, j] - fd, axis=1)
+        assert np.all(gap <= 1e-5 * (1.0 + np.linalg.norm(J, axis=(1, 2))))
 
 
 @pytest.mark.parametrize("factory", ALL_PROBLEMS)
 def test_hessian_action_matches_jacobian_differences(factory):
+    # hess_coupling_many(Y, Lam) z is the derivative of f'(y)^T lam in
+    # direction z: compare with central differences of jacobian_many
     problem = factory()
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        y = rng.uniform(0.5, 30.0, size=problem.dim)
-        z = rng.standard_normal(problem.dim)
-        z /= np.linalg.norm(z)
-        eps = 1e-6 * (1.0 + np.linalg.norm(y))
-        H = problem.hessian_action(y, z)
-        fd = (problem.jacobian(y + eps * z) - problem.jacobian(y - eps * z)) / (2 * eps)
-        assert np.linalg.norm(H - fd) <= 1e-5 * (1.0 + np.linalg.norm(H))
+    Y = sample_states(problem, 11)
+    Lam = rng.standard_normal(Y.shape)
+    K = problem.hess_coupling_many(Y, Lam)
+    eps = 1e-6 * (1.0 + np.linalg.norm(Y, axis=1, keepdims=True))
+    for j in range(problem.dim):
+        E = np.zeros_like(Y)
+        E[:, j] = eps[:, 0]
+        dJ = (problem.jacobian_many(Y + E) - problem.jacobian_many(Y - E)) \
+            / (2 * eps[:, :, None])
+        fd = np.einsum("tik,ti->tk", dJ, Lam)     # d/dy_j (f'(y)^T lam)
+        gap = np.linalg.norm(K[:, :, j] - fd, axis=1)
+        assert np.all(gap <= 1e-5 * (1.0 + np.linalg.norm(K, axis=(1, 2))))
 
 
 @pytest.mark.parametrize("factory", ALL_PROBLEMS)
 def test_hessian_action_linear_in_direction(factory):
+    # K(y, lam) is linear in the adjoint it contracts with
     problem = factory()
     rng = np.random.default_rng(3)
-    y = rng.uniform(1.0, 10.0, size=problem.dim)
-    z1 = rng.standard_normal(problem.dim)
-    z2 = rng.standard_normal(problem.dim)
+    Y = sample_states(problem, 3)
+    lam1, lam2 = rng.standard_normal((2,) + Y.shape)
     a, b = 1.7, -0.3
-    lhs = problem.hessian_action(y, a * z1 + b * z2)
-    rhs = a * problem.hessian_action(y, z1) + b * problem.hessian_action(y, z2)
+    lhs = problem.hess_coupling_many(Y, a * lam1 + b * lam2)
+    rhs = (a * problem.hess_coupling_many(Y, lam1)
+           + b * problem.hess_coupling_many(Y, lam2))
     assert np.allclose(lhs, rhs, atol=1e-12 * (1 + np.abs(rhs).max()))
 
 
 def test_dahlquist_values():
     p = make_dahlquist(-1.0, 1.0, 0.0, 0.0)
-    assert p.rhs(np.array([2.0]))[0] == -2.0
-    p16 = make_dahlquist(-16.0, 1.0)
-    for y in ([0.0], [3.5], [-2.0]):
-        assert p16.jacobian(np.asarray(y))[0, 0] == -16.0
-    assert np.all(p.hessian_action(np.array([1.0]), np.array([5.0])) == 0.0)
     assert p.is_linear
+    assert np.array_equal(p.linear_matrix, [[-1.0]])
+    assert np.array_equal(make_dahlquist(-16.0, 1.0).linear_matrix, [[-16.0]])
+    assert p.rhs_many is p.jacobian_many is p.hess_coupling_many is None
 
 
 def test_dahlquist_rejects_bad_alpha():
@@ -85,10 +89,12 @@ def test_lotka_volterra_derivatives_at_initial_point():
     p = make_lotka_volterra()
     assert np.allclose(p.y_init, [20.0, 10.0])
     assert np.allclose(p.y_target, [100.0, 20.0])
-    J = p.jacobian(np.array([20.0, 10.0]))
-    assert np.allclose(J, [[8.0, -4.0], [2.0, -6.0]])
-    H = p.hessian_action(np.array([20.0, 10.0]), np.array([1.0, 0.0]))
-    assert np.allclose(H, [[0.0, -0.2], [0.0, 0.2]])
+    Y = np.array([[20.0, 10.0]])
+    assert np.allclose(p.rhs_many(Y), [[160.0, -60.0]])
+    assert np.allclose(p.jacobian_many(Y), [[[8.0, -4.0], [2.0, -6.0]]])
+    # K(y, lam) = (a2*lam2 - b1*lam1) [[0, 1], [1, 0]]
+    K = p.hess_coupling_many(Y, np.array([[1.0, 2.0]]))
+    assert np.allclose(K, [[[0.0, 0.2], [0.2, 0.0]]])
 
 
 def test_lotka_volterra_rejects_nonpositive_rates():
@@ -99,27 +105,44 @@ def test_lotka_volterra_rejects_nonpositive_rates():
 
 
 def test_lotka_volterra_hessian_symmetry():
-    # both orderings evaluate the same bilinear form of the dynamics
-    p = make_lotka_volterra()
+    # K(y, lam) is the Hessian of lam^T f(y): symmetric for every (y, lam)
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        y = rng.uniform(0.1, 50.0, size=2)
-        z = rng.standard_normal(2)
-        w = rng.standard_normal(2)
-        assert np.abs(p.hessian_action(y, z) @ w
-                      - p.hessian_action(y, w) @ z).max() <= 1e-10
+    for factory in ALL_PROBLEMS:
+        p = factory()
+        Y = sample_states(p, 5, rows=10)
+        K = p.hess_coupling_many(Y, rng.standard_normal(Y.shape))
+        assert np.array_equal(K, np.transpose(K, (0, 2, 1)))
 
 
 def test_linear_problems_have_constant_jacobian_and_zero_hessian():
+    # the window derivative blocks of a linear problem depend neither on the
+    # base point (constant Jacobian) nor on dropping the second-derivative
+    # coupling (zero Hessian)
     rng = np.random.default_rng(13)
-    for factory in (lambda: make_dahlquist(-3.0, 1.0),
-                    lambda: make_heat_1d(n=9)):
-        p = factory()
+    for p in (make_dahlquist(-3.0, 1.0), make_heat_1d(n=9)):
         assert p.is_linear
-        y1, y2 = rng.standard_normal((2, p.dim))
-        assert np.array_equal(p.jacobian(y1), p.jacobian(y2))
-        assert np.array_equal(p.jacobian(y1), p.linear_matrix)
-        assert np.all(p.hessian_action(y1, y2) == 0.0)
+        g = make_grid(1.0, 2, 12, 4)
+        Y1, L1, Y2, L2 = rng.standard_normal((4, p.dim))
+        lin1 = coarse_linearize(p, g, 1, Y1, L1)
+        lin2 = coarse_linearize(p, g, 1, Y2, L2)
+        for a, b, c in zip(lin1.blocks(), lin2.blocks(),
+                           lin1.blocks(gauss_newton=True)):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_nonlinear_problem_needs_all_batch_callables():
+    p = make_lotka_volterra()
+    callables = dict(rhs_many=p.rhs_many, jacobian_many=p.jacobian_many,
+                     hess_coupling_many=p.hess_coupling_many)
+    base = dict(dim=2, alpha=1.0, y_init=[1.0, 1.0], y_target=[0.0, 0.0])
+    assert not ControlProblem(**base, **callables).is_linear
+    for missing in callables:
+        with pytest.raises(InvalidParameterError):
+            ControlProblem(**base, **{**callables, missing: None})
+    # a linear problem carries only its matrix, which must be (n, n)
+    assert ControlProblem(**base, linear_matrix=-np.eye(2)).is_linear
+    with pytest.raises(InvalidParameterError):
+        ControlProblem(**base, linear_matrix=np.eye(3))
 
 
 def test_periodic_laplacian_properties():
@@ -188,6 +211,18 @@ def test_make_grid_rejects_bad_counts():
                 (1.0, 0, 4, 2), (-1.0, 10, 4, 2)):
         with pytest.raises(InvalidParameterError):
             make_grid(*bad)
+
+
+@pytest.mark.parametrize("value,expected", [
+    (100.0, 100), (1e4 * (1 + 5e-10), 10_000), (1.0 - 5e-10, 1),
+    (2.5, None), (0.0, None), (100.0 + 1e-6, None)])
+def test_step_count_accepts_integers_within_slack(value, expected):
+    if expected is None:
+        with pytest.raises(InvalidParameterError):
+            step_count(value, "steps")
+    else:
+        count = step_count(value, "steps")
+        assert count == expected and isinstance(count, int)
 
 
 def test_interface_vector_roundtrip_and_validation():

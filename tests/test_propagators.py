@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from paraopt import (SingularStepError, coarse_linearize, derivative_action,
-                     fine_propagate, make_dahlquist, make_grid, make_heat_1d,
+from paraopt import (SingularStepError, coarse_linearize, fine_propagate,
+                     make_dahlquist, make_grid, make_heat_1d,
                      make_lotka_volterra, propagators)
 from paraopt.propagators import (_assemble_banded, _nonlinear_residual,
                                  window_recurrence_residual)
@@ -62,8 +62,8 @@ def test_coarse_equals_fine_when_steps_match():
     Y, Lam = np.array([22.0, 11.0]), np.array([0.3, -0.2])
     P, Q, traj = fine_propagate(p, g, 3, Y, Lam)
     lin = coarse_linearize(p, g, 3, Y, Lam)
-    assert np.allclose(lin.coarse_P, P, atol=1e-12)
-    assert np.allclose(lin.coarse_Q, Q, atol=1e-12)
+    assert np.allclose(lin.trajectory.right_state, P, atol=1e-12)
+    assert np.allclose(lin.trajectory.left_adjoint, Q, atol=1e-12)
     assert np.allclose(lin.trajectory.states, traj.states, atol=1e-12)
 
 
@@ -71,45 +71,41 @@ def test_coarse_linearize_dahlquist_single_step():
     p = make_dahlquist(-1.0, 1.0)
     g = make_grid(1.0, 1, 1, 1)
     lin = coarse_linearize(p, g, 1, [1.0], [2.0])
-    assert np.isclose(lin.coarse_P[0], 0.0, atol=1e-14)
-    assert np.isclose(lin.coarse_Q[0], 1.0)
+    assert np.isclose(lin.trajectory.right_state[0], 0.0, atol=1e-14)
+    assert np.isclose(lin.trajectory.left_adjoint[0], 1.0)
 
 
-def test_derivative_action_zero_input():
-    p = make_lotka_volterra()
-    g = make_grid(1.0 / 3.0, 5, 100, 10)
-    lin = coarse_linearize(p, g, 1, p.y_init, [1.0, 1.0])
-    dP, dQ = derivative_action(p, lin, np.zeros(2), np.zeros(2))
-    assert np.all(dP == 0.0) and np.all(dQ == 0.0)
+def derivative_action(lin, dY, dLam, gauss_newton=False):
+    """(dP, dQ) for boundary perturbations (dY, dLam), from the blocks."""
+    Py, Pl, Qy, Ql = lin.blocks(gauss_newton)
+    return Py @ dY + Pl @ dLam, Qy @ dY + Ql @ dLam
 
 
 def test_derivative_action_dahlquist_closed_form():
     p = make_dahlquist(-1.0, 1.0)
     g = make_grid(1.0, 1, 1, 1)
     lin = coarse_linearize(p, g, 1, [1.0], [2.0])
-    dP, dQ = derivative_action(p, lin, [1.0], [0.0])
-    assert np.isclose(dP[0], 0.5) and np.isclose(dQ[0], 0.0)
-    dP, dQ = derivative_action(p, lin, [0.0], [1.0])
-    assert np.isclose(dP[0], -0.25) and np.isclose(dQ[0], 0.5)
+    Py, Pl, Qy, Ql = lin.blocks()
+    assert np.isclose(Py[0, 0], 0.5) and np.isclose(Qy[0, 0], 0.0)
+    assert np.isclose(Pl[0, 0], -0.25) and np.isclose(Ql[0, 0], 0.5)
 
 
 def test_derivative_action_superposition_linear():
+    # a linear window map is its own derivative: (P, Q) at (Y, Lam) is the
+    # derivative action on (Y, Lam), whatever the base point
     p = make_heat_1d(n=6)
     g = make_grid(1e-2, 2, 40, 8)
     rng = np.random.default_rng(1)
-    lin1 = coarse_linearize(p, g, 1, rng.standard_normal(6), rng.standard_normal(6))
-    lin2 = coarse_linearize(p, g, 2, rng.standard_normal(6), rng.standard_normal(6))
-    dY = rng.standard_normal(6)
-    dL = rng.standard_normal(6)
-    for lin in (lin1, lin2):
-        full = derivative_action(p, lin, dY, dL)
-        partY = derivative_action(p, lin, dY, np.zeros(6))
-        partL = derivative_action(p, lin, np.zeros(6), dL)
-        assert np.allclose(full[0], partY[0] + partL[0], atol=1e-12)
-        assert np.allclose(full[1], partY[1] + partL[1], atol=1e-12)
-    # base-point independence for linear problems
-    a1 = derivative_action(p, lin1, dY, dL)
-    a2 = derivative_action(p, lin2, dY, dL)
+    Y1, L1, Y2, L2 = rng.standard_normal((4, 6))
+    lin1 = coarse_linearize(p, g, 1, Y1, L1)
+    lin2 = coarse_linearize(p, g, 2, Y2, L2)
+    for lin, Y, Lam in ((lin1, Y1, L1), (lin2, Y2, L2)):
+        dP, dQ = derivative_action(lin, Y, Lam)
+        assert np.allclose(dP, lin.trajectory.right_state, atol=1e-12)
+        assert np.allclose(dQ, lin.trajectory.left_adjoint, atol=1e-12)
+    dY, dL = rng.standard_normal((2, 6))
+    a1 = derivative_action(lin1, dY, dL)
+    a2 = derivative_action(lin2, dY, dL)
     assert np.allclose(a1[0], a2[0]) and np.allclose(a1[1], a2[1])
 
 
@@ -123,10 +119,10 @@ def test_derivative_action_finite_difference_consistency():
     for _ in range(3):
         dY = rng.standard_normal(2)
         dL = rng.standard_normal(2)
-        dP, dQ = derivative_action(p, lin, dY, dL)
+        dP, dQ = derivative_action(lin, dY, dL)
         lin2 = coarse_linearize(p, g, 2, Y + eps * dY, Lam + eps * dL)
-        fdP = (lin2.coarse_P - lin.coarse_P) / eps
-        fdQ = (lin2.coarse_Q - lin.coarse_Q) / eps
+        fdP = (lin2.trajectory.right_state - lin.trajectory.right_state) / eps
+        fdQ = (lin2.trajectory.left_adjoint - lin.trajectory.left_adjoint) / eps
         scale = 1.0 + max(np.abs(dP).max(), np.abs(dQ).max())
         assert np.abs(dP - fdP).max() <= 1e-4 * scale
         assert np.abs(dQ - fdQ).max() <= 1e-4 * scale
@@ -142,7 +138,7 @@ def test_derivative_action_is_exact_jacobian_for_linear_fine_grid():
     P0, Q0, _ = fine_propagate(p, g, 1, Y, Lam)
     P1, Q1, _ = fine_propagate(p, g, 1, Y + dY, Lam + dL)
     lin = coarse_linearize(p, g, 1, Y, Lam)
-    dP, dQ = derivative_action(p, lin, dY, dL)
+    dP, dQ = derivative_action(lin, dY, dL)
     assert np.allclose(P1 - P0, dP, atol=1e-11)
     assert np.allclose(Q1 - Q0, dQ, atol=1e-11)
 
@@ -151,28 +147,36 @@ def test_gauss_newton_drops_second_order_coupling():
     p = make_lotka_volterra()
     g = make_grid(1.0 / 3.0, 5, 100, 10)
     lin = coarse_linearize(p, g, 1, p.y_init, [1.0, 1.0])
-    full = derivative_action(p, lin, [1.0, 0.0], [0.0, 0.0], gauss_newton=False)
-    gn = derivative_action(p, lin, [1.0, 0.0], [0.0, 0.0], gauss_newton=True)
-    assert not np.allclose(full[1], gn[1])   # adjoint derivative differs
+    full = lin.blocks(gauss_newton=False)
+    gn = lin.blocks(gauss_newton=True)
+    assert not np.allclose(full[2][:, 0], gn[2][:, 0])   # dQ/dY differs
     # the state derivative block never carries the dropped term for dLam
-    fl = derivative_action(p, lin, [0.0, 0.0], [1.0, 0.0], gauss_newton=False)
-    gl = derivative_action(p, lin, [0.0, 0.0], [1.0, 0.0], gauss_newton=True)
-    assert np.allclose(fl[1], gl[1], rtol=5e-2)
+    assert np.allclose(full[3][:, 0], gn[3][:, 0], rtol=5e-2)
 
 
 def test_blocks_match_unit_actions():
+    # the interface operator applied to unit vectors places -P_y, -P_lam,
+    # -Q_y, -Q_lam at their window's rows and columns
+    from paraopt.solver import _jacobian_matvec
+
     p = make_lotka_volterra()
-    g = make_grid(1.0 / 3.0, 4, 80, 8)
-    lin = coarse_linearize(p, g, 2, [24.0, 11.0], [0.5, 1.5])
-    Py, Pl, Qy, Ql = lin.blocks()
-    eye = np.eye(2)
-    for i in range(2):
-        dP, dQ = derivative_action(p, lin, eye[i], np.zeros(2))
-        assert np.array_equal(Py[:, i], dP)
-        assert np.array_equal(Qy[:, i], dQ)
-        dP, dQ = derivative_action(p, lin, np.zeros(2), eye[i])
-        assert np.array_equal(Pl[:, i], dP)
-        assert np.array_equal(Ql[:, i], dQ)
+    L, n = 4, 2
+    g = make_grid(1.0 / 3.0, L, 80, 8)
+    rng = np.random.default_rng(6)
+    lins = [coarse_linearize(p, g, ell, [24.0, 11.0] + rng.standard_normal(2),
+                             [0.5, 1.5]) for ell in range(1, L + 1)]
+    J = _jacobian_matvec(lins, "newton", 1)(np.eye(n * (2 * L + 1)))
+
+    def block(i, j):
+        return J[n * i:n * (i + 1), n * j:n * (j + 1)]
+
+    for ell in range(1, L + 1):
+        Py, Pl, Qy, Ql = lins[ell - 1].blocks()
+        assert np.array_equal(block(ell, ell - 1), -Py)
+        assert np.array_equal(block(ell, L + ell), -Pl)
+        if ell >= 2:
+            assert np.array_equal(block(L + ell - 1, ell - 1), -Qy)
+            assert np.array_equal(block(L + ell - 1, L + ell), -Ql)
 
 
 def test_linear_blocks_structure():
@@ -214,8 +218,8 @@ def _dense_window_jacobian(p, y, lam, tau, gauss_newton, terminal):
     A = np.zeros((2 * n * m, 2 * n * m))
     eye = np.eye(n)
     bbt = p.bbt() / p.alpha
-    jac = p.eval_jacobian_many(y)
-    K = p.eval_hess_coupling_many(y[:-1], lam[:-1])
+    jac = p.jacobian_many(y)
+    K = p.hess_coupling_many(y[:-1], lam[:-1])
     for t in range(m):
         r2, r1 = 2 * n * t, 2 * n * t + n     # rows of R2_t and R1_t
         lam_t, y_next = 2 * n * t, 2 * n * t + n
