@@ -2,10 +2,15 @@
 
 Sub-interval tasks are independent; results are always collected in
 submission order so that assembled vectors, norms and reports are identical
-for any worker count.  Threads are used (tasks spend their time inside
-LAPACK/BLAS, which releases the GIL); BLAS pools are pinned to one thread
-per call while a pool is active so that a task's arithmetic does not depend
-on how many siblings run beside it.
+for any worker count.  Threads are used.  A nonlinear window task spends
+most of its time in its banded LU, which ``propagators`` calls with the GIL
+released, and in NumPy array operations on whole windows, most of which
+release it too; the Python between those calls runs one thread at a time.
+The f2py wrappers of ``scipy.linalg.lapack`` hold the GIL, so window code
+does not call them.
+When threadpoolctl is installed, BLAS pools are pinned to one thread per
+call while a pool is active, so that a task's arithmetic does not depend on
+how many siblings run beside it; without it BLAS keeps its own thread count.
 """
 
 from __future__ import annotations

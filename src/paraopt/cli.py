@@ -30,7 +30,7 @@ from . import experiments as ex
 from . import linear_analysis as la
 from .errors import (InvalidParameterError, NewtonDivergenceError,
                      NoConvergenceError, ParaoptError)
-from .model import make_dahlquist, make_grid, make_heat_1d
+from .model import make_dahlquist, make_grid, make_heat_1d, step_count
 from .solver import ParaoptOptions, paraopt_solve
 
 EXIT_OK = 0
@@ -228,12 +228,12 @@ def _validate(sub, values):
                     EXIT_CONFLICT,
                     f"--dt={dt} conflicts with --coarse-per-sub={cps} "
                     f"(T/L/dt = {derived:.6g})")
-            if abs(derived - round(derived)) > 1e-9 * max(1.0, derived) \
-                    or round(derived) < 1:
+            try:
+                values["coarse-per-sub"] = step_count(derived, "T/L/dt")
+            except InvalidParameterError as exc:
                 raise CliError(EXIT_INVALID,
                                "--dt must tile the sub-interval an integer "
-                               "number of times")
-            values["coarse-per-sub"] = int(round(derived))
+                               f"number of times ({exc})") from exc
         elif cps is None:
             values["coarse-per-sub"] = 50
     if sub == "solve" and values["dt-equals-fine"]:

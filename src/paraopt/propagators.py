@@ -33,6 +33,10 @@ control picks up an extra solve with the step matrix):
   already meets the tolerance would otherwise keep its old P and Q,
   ignoring the new Y and Lam_plus, which stalls the outer iteration near
   the tolerance.  Linear windows are closed-form and ignore ``start``.
+  A window solve allocates its band matrix once and refills it on every
+  Newton step.  The banded LU is LAPACK ``dgbsv``, called through the
+  function pointer scipy exports for Cython and ctypes, which releases the
+  GIL for the call, so window solves on a thread pool factor in parallel.
 
 All entry points are pure functions of their arguments and can run
 concurrently on distinct sub-intervals.
@@ -40,12 +44,13 @@ concurrently on distinct sub-intervals.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
+from scipy.linalg import cython_lapack as _cython_lapack
 
 from .errors import (InvalidParameterError, NewtonDivergenceError,
                      SingularStepError)
@@ -242,12 +247,21 @@ def _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha):
     return R1, R2
 
 
-def _assemble_banded(problem, y, lam, tau, bbt_over_alpha,
+def _band_workspace(n: int, m: int) -> Array:
+    """Uninitialized LAPACK gbsv storage for an m-slot window's Jacobian."""
+    return np.empty((3 * _bandwidth(n) + 1, 2 * n * m), order="F")
+
+
+def _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
                      gauss_newton: bool, terminal: bool = False) -> Array:
+    """Write the window Jacobian into ``ab`` (from :func:`_band_workspace`).
+
+    Every entry is overwritten, so a workspace that an earlier factorization
+    left holding LU factors can be refilled.  Returns ``ab``.
+    """
     n = problem.dim
     m = len(y) - 1
-    l = _bandwidth(n)
-    ab = np.zeros((3 * l + 1, 2 * n * m), order="F")
+    ab.fill(0.0)
     eye = np.eye(n)
     jac = problem.jacobian_many(y)
     # R2_t = lam_t - tau f'(y_t)^T lam_t - lam_{t+1}; y_t is slot t-1's
@@ -270,13 +284,63 @@ def _assemble_banded(problem, y, lam, tau, bbt_over_alpha,
     return ab
 
 
+def _capsule_function(capsule, *argtypes):
+    """The void C function behind a Cython ``__pyx_capi__`` capsule.
+
+    Calls through a ``CFUNCTYPE`` release the GIL for their duration.
+    """
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_int_p = ctypes.POINTER(ctypes.c_int)
+_double_p = ctypes.POINTER(ctypes.c_double)
+# dgbsv(n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info): Fortran arguments,
+# all passed by reference
+_dgbsv = _capsule_function(
+    _cython_lapack.__pyx_capi__["dgbsv"],
+    _int_p, _int_p, _int_p, _int_p, _double_p, _int_p, _int_p, _double_p,
+    _int_p, _int_p)
+
+
+def _int_ref(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
 def _banded_solve(n: int, ab: Array, rhs: Array, context: str) -> Array:
+    """Solve the banded window system in ``ab`` for ``rhs`` with LAPACK dgbsv.
+
+    ``ab`` is overwritten by its LU factors; ``rhs`` (a vector or a matrix
+    of columns) is left as it is and the solution is returned in a new
+    array of its shape.
+    """
     l = _bandwidth(n)
-    _, _, x, info = _lapack.dgbsv(l, l, ab, rhs,
-                                  overwrite_ab=1, overwrite_b=0)
-    if info != 0:
+    rows = 3 * l + 1
+    if ab.dtype != np.float64 or not ab.flags.f_contiguous \
+            or ab.ndim != 2 or ab.shape[0] != rows:
+        raise ValueError(
+            f"ab must be F-contiguous float64 gbsv storage with {rows} rows")
+    size = ab.shape[1]
+    x = np.array(rhs, dtype=np.float64, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != size:
+        raise ValueError(f"rhs needs {size} rows, got shape {x.shape}")
+    nrhs = 1 if x.ndim == 1 else x.shape[1]
+    ipiv = np.empty(size, dtype=np.intc)
+    info = ctypes.c_int(0)
+    # ab, ipiv and x are locals, so they outlive the call
+    _dgbsv(_int_ref(size), _int_ref(l), _int_ref(l), _int_ref(nrhs),
+           ab.ctypes.data_as(_double_p), _int_ref(rows),
+           ipiv.ctypes.data_as(_int_p), x.ctypes.data_as(_double_p),
+           _int_ref(max(1, size)), ctypes.byref(info))
+    if info.value != 0:
         raise SingularStepError(
-            f"banded window system singular (lapack info={info}) in {context}")
+            f"banded window system singular (lapack info={info.value}) "
+            f"in {context}")
     return x
 
 
@@ -307,6 +371,7 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
     if terminal:
         lam[-1] = y[-1] - problem.y_target
     min_steps = 0 if start is None else 1
+    ab = _band_workspace(n, m)
     R1, R2 = _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha)
     res = max(np.abs(R1).max(), np.abs(R2).max()) if m else 0.0
     res0 = max(res, 1.0)
@@ -316,8 +381,8 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
             raise NewtonDivergenceError(
                 f"window Newton needed more than {max_newton} iterations "
                 f"({context}); residual {res:.3e}", residual=res)
-        ab = _assemble_banded(problem, y, lam, tau, bbt_over_alpha,
-                              gauss_newton=False, terminal=terminal)
+        _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
+                         gauss_newton=False, terminal=terminal)
         rhs = np.empty((m, 2 * n))
         rhs[:, :n] = -R2
         rhs[:, n:] = -R1
@@ -434,8 +499,9 @@ class CoarseLinearization:
                 traj = self.trajectory
                 m = traj.steps
                 bbt_over_alpha = self.problem.bbt() / self.problem.alpha
-                ab = _assemble_banded(self.problem, traj.states, traj.adjoints,
-                                      traj.tau, bbt_over_alpha, key)
+                ab = _assemble_banded(_band_workspace(n, m), self.problem,
+                                      traj.states, traj.adjoints, traj.tau,
+                                      bbt_over_alpha, key)
                 eye = np.eye(n)
                 rhs = np.zeros((2 * n * m, 2 * n))
                 for i in range(n):

@@ -19,7 +19,7 @@ any worker count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -352,8 +352,9 @@ def reference_solve(problem: ControlProblem, grid: TimeGrid,
     Nonlinear problems take one damped banded Newton solve of all fine steps
     with the terminal condition built in (tolerance ``local_tol``, at most
     ``local_max_newton`` steps).  Linear problems take the outer iteration on
-    the one-window grid, whose exact derivative blocks converge in one step,
-    and are restricted with the closed-form window maps.  Raises
+    the one-window grid with the direct inner solve (the system has only 3n
+    rows), whose exact derivative blocks converge in one step, and are
+    restricted with the closed-form window maps.  Raises
     :class:`NoConvergenceError` when the solve fails.
     """
     options = options or ParaoptOptions()
@@ -370,7 +371,10 @@ def reference_solve(problem: ControlProblem, grid: TimeGrid,
                 f"reference solve diverged: {exc}") from exc
         idx = np.arange(L + 1) * N
         return InterfaceVector(y[idx], lam[idx[1:]])
-    report = paraopt_solve(problem, single, options)
+    # an inexact GMRES solve would leave |F| at inner_tol * |F(X^0)| and
+    # cost a second outer step
+    report = paraopt_solve(problem, single,
+                           replace(options, inner_solver=INNER_DIRECT))
     if not report.converged:
         raise NoConvergenceError("reference solve did not converge",
                                  report=report)

@@ -41,6 +41,13 @@ def test_conflicting_step_spec_exit_5():
                  "--dt=0.1"]) == EXIT_CONFLICT
 
 
+def test_dt_not_tiling_the_subinterval_exit_6(capsys):
+    # T/L/dt = 2.5 coarse steps per sub-interval
+    assert main(["analyze", "--T=1", "--L=4", "--dt=0.1"]) == EXIT_INVALID
+    assert "--dt must tile the sub-interval" in capsys.readouterr().err
+    assert main(["analyze", "--T=1", "--L=4", "--dt=0.5"]) == EXIT_INVALID
+
+
 def test_dt_consistent_with_count_accepted(tmp_path):
     DT = 100.0 / 30.0
     assert run(tmp_path, "analyze", "--T=100", "--L=30",

@@ -1,10 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from paraopt import (SingularStepError, coarse_linearize, fine_propagate,
                      make_dahlquist, make_grid, make_heat_1d,
                      make_lotka_volterra, propagators)
-from paraopt.propagators import (_assemble_banded, _nonlinear_residual,
+from paraopt.propagators import (_assemble_banded, _band_workspace,
+                                 _banded_solve, _nonlinear_residual,
                                  window_recurrence_residual)
 
 
@@ -252,7 +256,11 @@ def test_banded_assembly_matches_dense_jacobian(gauss_newton, terminal):
     if terminal:
         lam[-1] = y[-1] - p.y_target
     bbt = p.bbt() / p.alpha
-    ab = _assemble_banded(p, y, lam, tau, bbt, gauss_newton, terminal)
+    # a used workspace is refilled completely
+    ab = _band_workspace(n, m)
+    ab.fill(np.nan)
+    assert _assemble_banded(ab, p, y, lam, tau, bbt, gauss_newton,
+                            terminal) is ab
     l = 3 * n - 1
     dense = np.zeros((2 * n * m, 2 * n * m))
     for i in range(2 * n * m):
@@ -280,6 +288,71 @@ def test_banded_assembly_matches_dense_jacobian(gauss_newton, terminal):
         (stacked_residual(u0 + eps * e) - stacked_residual(u0 - eps * e))
         / (2 * eps) for e in np.eye(u0.size)])
     assert np.abs(fd - expected).max() <= 1e-6 * np.abs(expected).max()
+
+
+def _random_band_system(n, m, seed, nrhs=None):
+    """A diagonally dominant system in gbsv storage and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    l, size = 3 * n - 1, 2 * n * m
+    ab = np.zeros((3 * l + 1, size), order="F")
+    ab[l:] = rng.uniform(-1.0, 1.0, (2 * l + 1, size))
+    ab[2 * l] += 4.0 * l     # diagonal row
+    rhs = rng.standard_normal(size if nrhs is None else (size, nrhs))
+    return ab, rhs
+
+
+@pytest.mark.parametrize("nrhs", [None, 4])
+def test_banded_solve_matches_scipy_dgbsv(nrhs):
+    n = 2
+    ab, rhs = _random_band_system(n, 60, seed=11, nrhs=nrhs)
+    rhs_before = rhs.copy()
+    l = 3 * n - 1
+    _, _, expected, info = lapack.dgbsv(l, l, ab.copy(order="F"), rhs)
+    assert info == 0
+    x = _banded_solve(n, ab, rhs, "test")
+    assert x.shape == rhs.shape
+    assert np.array_equal(x, expected)
+    assert np.array_equal(rhs, rhs_before)
+
+
+def test_banded_solve_rejects_singular_and_misfit_storage():
+    n = 2
+    ab, rhs = _random_band_system(n, 10, seed=12)
+    ab[:, 7] = 0.0           # a zero column
+    with pytest.raises(SingularStepError, match="lapack info=8"):
+        _banded_solve(n, ab, rhs, "test")
+    ab, rhs = _random_band_system(n, 10, seed=12)
+    with pytest.raises(ValueError):
+        _banded_solve(n, np.ascontiguousarray(ab), rhs, "test")
+    with pytest.raises(ValueError):
+        _banded_solve(n, ab, rhs[:-1], "test")
+
+
+def test_concurrent_banded_solves_match_serial():
+    n, m = 2, 20_000
+    systems = [_random_band_system(n, m, seed=s, nrhs=k)
+               for s, k in ((21, None), (22, 2))]
+    serial = [_banded_solve(n, ab.copy(order="F"), rhs, "serial")
+              for ab, rhs in systems]
+    results = [[], []]
+    start = threading.Barrier(2, timeout=30)
+
+    def work(i):
+        ab, rhs = systems[i]
+        start.wait()
+        for _ in range(5):
+            results[i].append(
+                _banded_solve(n, ab.copy(order="F"), rhs, f"thread {i}"))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for expected, got in zip(serial, results):
+        assert len(got) == 5
+        assert all(np.array_equal(expected, x) for x in got)
 
 
 def test_blocks_singular_step_names_its_window(monkeypatch):

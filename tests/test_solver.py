@@ -320,6 +320,26 @@ def test_reference_solve_heat_single_newton():
     assert report.converged and report.iterations == 1
 
 
+def test_linear_reference_takes_one_direct_inner_solve(monkeypatch):
+    # a caller's loose GMRES tolerance must not cost the reference a second
+    # outer step: the one-window system is solved directly
+    calls = []
+
+    def counting(lins, rhs, options, workers=1):
+        calls.append(options.inner_solver)
+        return solve_jacobian_system(lins, rhs, options, workers)
+
+    monkeypatch.setattr(solver, "solve_jacobian_system", counting)
+    p = make_heat_1d(n=20)
+    g = make_grid(1e-2, 10, 100, 10)
+    ref = reference_solve(p, g, ParaoptOptions(outer_tol=1e-11,
+                                               inner_solver="krylov",
+                                               inner_tol=1e-4))
+    assert calls == ["assembled_direct"]
+    F, _ = residual(p, g, ref)
+    assert np.abs(F).max() <= 1e-10
+
+
 def test_single_window_lotka_volterra_long_horizon_diverges():
     # a single long window does not admit the outer iteration from the
     # default guess; the solver must report that honestly
@@ -449,17 +469,27 @@ def test_warm_start_rejects_a_trajectory_of_another_grid():
 
 # -- determinism across worker counts ----------------------------------------
 
-@pytest.mark.parametrize("preset", ["lv", "heat"])
+@pytest.mark.parametrize("preset", ["lv", "heat", "heat200_krylov",
+                                    "heat200_direct"])
 def test_worker_count_invariance(preset):
+    workers = (1, 4, 6)
     if preset == "lv":
         p, g = lv_preset()
         opts = LV_PRESET
-    else:
+    elif preset == "heat":
         p = make_heat_1d(n=10)
         g = make_grid(1e-2, 6, 30, 6)
         opts = dict(inner_solver="krylov", outer_tol=1e-11)
+    else:
+        # n = 200 is large enough for OpenBLAS to thread the window
+        # products; two outer steps run every phase of the iteration
+        p = make_heat_1d(n=200)
+        g = make_grid(1e-2, 10, 1000, 100)
+        inner = "krylov" if preset == "heat200_krylov" else "assembled_direct"
+        opts = dict(inner_solver=inner, outer_tol=1e-11, max_outer=2)
+        workers = (1, 2, 10)
     runs = [paraopt_solve(p, g, ParaoptOptions(workers=w, **opts))
-            for w in (1, 4, 6)]
+            for w in workers]
     base = runs[0]
     for other in runs[1:]:
         assert np.array_equal(base.final.to_stacked(),
