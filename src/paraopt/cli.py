@@ -91,7 +91,7 @@ SCHEMAS = {
     "solve": {
         "preset": (str, "dahlquist"), "sigma": (float, -16.0),
         "alpha": (float, None), "T": (float, None), "L": (int, 10),
-        "coarse-per-sub": (int, 10), "fine-per-coarse": (int, 100),
+        "coarse-per-sub": (int, 10), "fine-per-coarse": (int, None),
         "dt-equals-fine": _flag(), "outer-tol": (float, 1e-13),
         "inner": (str, "assembled_direct"), "variant": (str, "newton"),
     },
@@ -236,12 +236,16 @@ def _validate(sub, values):
                                f"number of times ({exc})") from exc
         elif cps is None:
             values["coarse-per-sub"] = 50
-    if sub == "solve" and values["dt-equals-fine"]:
-        if "fine-per-coarse" in values and values["fine-per-coarse"] != 100 \
-                and values["fine-per-coarse"] != 1:
-            raise CliError(EXIT_CONFLICT,
-                           "--dt-equals-fine conflicts with --fine-per-coarse")
-        values["fine-per-coarse"] = 1
+    if sub == "solve":
+        fpc = values["fine-per-coarse"]
+        if values["dt-equals-fine"]:
+            if fpc not in (None, 1):
+                raise CliError(
+                    EXIT_CONFLICT,
+                    "--dt-equals-fine conflicts with --fine-per-coarse")
+            values["fine-per-coarse"] = 1
+        elif fpc is None:
+            values["fine-per-coarse"] = 100
     if sub == "sweep":
         if values["mode"] is None:
             raise CliError(EXIT_USAGE, "sweep requires --mode=<name>")

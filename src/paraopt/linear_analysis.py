@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,12 +38,10 @@ from .errors import (InvalidParameterError, SingularMatrixError,
 from .model import TimeGrid, step_count
 
 __all__ = [
-    "DahlquistSetup", "SpectralSummary", "LinearIterationRun", "RhoSweep",
-    "beta", "gamma", "scalar_coefficients", "spectral_summary",
-    "summary_from_parameters", "assemble_system", "iteration_spectrum",
-    "charpoly_coefficients", "charpoly_roots", "spectral_radius",
-    "analysis_point", "linear_iterate", "rho_max_over_sigma",
-    "global_rho_bound", "check_appendix_inequalities",
+    "DahlquistSetup", "SpectralSummary", "scalar_coefficients",
+    "spectral_summary", "summary_from_parameters", "assemble_system",
+    "iteration_spectrum", "charpoly_roots", "spectral_radius",
+    "analysis_point", "global_rho_bound", "check_appendix_inequalities",
 ]
 
 
@@ -86,16 +83,6 @@ def scalar_coefficients(sigma: float, tau: float, DT: float,
     b = math.exp(-m * log_step)
     g = math.expm1(-2.0 * m * log_step) / (sigma * (2.0 - sigma * tau))
     return b, g
-
-
-def beta(sigma: float, tau: float, DT: float) -> float:
-    """(1 - sigma*tau)^(-DT/tau) with DT/tau a positive integer."""
-    return scalar_coefficients(sigma, tau, DT)[0]
-
-
-def gamma(sigma: float, tau: float, DT: float) -> float:
-    """Closed form of tau * sum_{j=0}^{N-1} (1 - sigma*tau)^(2(j-N))."""
-    return scalar_coefficients(sigma, tau, DT)[1]
 
 
 @dataclass(frozen=True)
@@ -224,30 +211,6 @@ def iteration_spectrum(setup: DahlquistSetup) -> np.ndarray:
     return np.linalg.eigvals(_iteration_matrix(setup))
 
 
-def charpoly_coefficients(setup: DahlquistSetup) -> np.ndarray:
-    """Ascending coefficients of P(mu), expanded exactly per power.
-
-    Exposed for cross-checks; root finding itself uses a better-conditioned
-    transformed representation (see :func:`charpoly_roots`).
-    """
-    grid = setup.grid
-    DT = grid.sub_length
-    b, g = scalar_coefficients(setup.sigma, grid.coarse_step, DT)
-    bf, gf = scalar_coefficients(setup.sigma, grid.fine_step, DT)
-    db, dg = b - bf, g - gf
-    L = grid.num_subintervals
-    deg = 2 * L - 1
-    acc: list[list[float]] = [[] for _ in range(deg + 1)]
-    acc[deg].append(setup.alpha)
-    for l in range(L):
-        base = 2 * (L - l - 1)
-        for j in range(2 * l + 1):
-            w = math.comb(2 * l, j) * b ** j * (-db) ** (2 * l - j)
-            acc[base + j + 1].append(g * w)
-            acc[base + j].append(-dg * w)
-    return np.array([math.fsum(c) for c in acc])
-
-
 def _polish_interior_roots(q_ascending: np.ndarray, roots: np.ndarray,
                            radius: float = 0.9) -> np.ndarray:
     """Newton-refine roots well inside the unit circle.
@@ -358,91 +321,6 @@ def analysis_point(sigma: float, alpha: float, L: int, DT: float,
     rho = float(np.abs(roots).max()) if roots.size else 0.0
     summary = summary_from_parameters(sigma, alpha, L, coarse_dt, bc, gc, bf, gf)
     return rho, summary
-
-
-@dataclass
-class LinearIterationRun:
-    """Trace of the stationary two-grid iteration against the exact solve."""
-
-    errors: np.ndarray          # max-norm error per iterate, starting at X^0
-    contraction: float          # geometric-mean ratio over the tail window
-    converged: bool
-    diverged: bool
-    iterations: int
-
-
-def linear_iterate(setup: DahlquistSetup, x0: Optional[np.ndarray] = None,
-                   max_iters: int = 200, tol: float = 1e-12
-                   ) -> LinearIterationRun:
-    """Run X^{k+1} = (I - A_coarse^{-1} A_fine) X^k + A_coarse^{-1} b.
-
-    Errors are measured against the direct fine solve; the reported
-    contraction is the geometric mean ratio over the last up to 5 steps
-    whose errors stayed above the rounding floor.
-    """
-    A_fine, rhs = assemble_system(setup, "fine")
-    A_coarse, _ = assemble_system(setup, "coarse")
-    x_exact = np.linalg.solve(A_fine, rhs)
-    try:
-        correction = np.linalg.solve(A_coarse, rhs)
-        M = np.eye(len(rhs)) - np.linalg.solve(A_coarse, A_fine)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("coarse interface matrix is singular") from exc
-    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
-    scale = max(1.0, np.abs(x_exact).max())
-    floor = 1e2 * np.finfo(float).eps * scale
-    errors = [np.abs(x - x_exact).max()]
-    diverged = converged = False
-    for _ in range(max_iters):
-        x = M @ x + correction
-        err = np.abs(x - x_exact).max()
-        errors.append(err)
-        if err > 1e8 * max(errors[0], scale * 1e-16):
-            diverged = True
-            break
-        if err <= max(tol, floor):
-            converged = True
-            break
-    errors = np.array(errors)
-    above = errors > floor
-    ratios = [errors[k + 1] / errors[k]
-              for k in range(len(errors) - 1)
-              if above[k] and above[k + 1] and errors[k] > 0]
-    tail = ratios[-5:]
-    contraction = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
-    return LinearIterationRun(errors=errors, contraction=contraction,
-                              converged=converged, diverged=diverged,
-                              iterations=len(errors) - 1)
-
-
-@dataclass
-class RhoSweep:
-    """Spectral radii and bounds over a grid of sigma values."""
-
-    sigmas: np.ndarray
-    rhos: np.ndarray
-    rho_bounds: np.ndarray
-    max_rho: float
-    argmax_sigma: float
-    global_bound: float
-
-
-def rho_max_over_sigma(alpha: float, grid: TimeGrid,
-                       sigma_grid: Sequence[float]) -> RhoSweep:
-    """Spectral radius and bound per sigma, plus the maxima over the grid."""
-    sigmas = np.asarray(list(sigma_grid), dtype=float)
-    if np.any(sigmas >= 0):
-        raise UnsupportedRegimeError("all sigma values must be negative")
-    rhos = np.empty_like(sigmas)
-    bounds = np.empty_like(sigmas)
-    for i, s in enumerate(sigmas):
-        setup = DahlquistSetup(float(s), alpha, grid)
-        rhos[i] = spectral_radius(setup)
-        bounds[i] = spectral_summary(setup).rho_bound
-    imax = int(np.argmax(rhos))
-    return RhoSweep(sigmas=sigmas, rhos=rhos, rho_bounds=bounds,
-                    max_rho=float(rhos[imax]), argmax_sigma=float(sigmas[imax]),
-                    global_bound=global_rho_bound(alpha, grid.coarse_step))
 
 
 def check_appendix_inequalities(k: float, x: float) -> tuple[bool, bool]:

@@ -12,8 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from paraopt import (ParaoptOptions, make_dahlquist, make_grid, make_heat_1d,
-                     paraopt_solve)
+from paraopt import (InterfaceVector, ParaoptOptions, make_dahlquist,
+                     make_grid, make_heat_1d, paraopt_solve)
 from paraopt import experiments as ex
 from paraopt import linear_analysis as la
 
@@ -89,6 +89,33 @@ def _sample_measurable_setups(count=10):
     return out
 
 
+def _solver_contraction(setup, x_star, x0):
+    """Tail contraction of ``paraopt_solve``'s error to ``x_star`` from ``x0``.
+
+    The history is cut at the first error <= max(1e-12, floor); the result
+    is the geometric mean of the last up to 5 ratios whose errors both lie
+    above the rounding floor = 1e2 * eps * max(1, |x_star|_inf).
+    """
+    L = setup.grid.num_subintervals
+    report = paraopt_solve(
+        make_dahlquist(setup.sigma, setup.alpha, setup.y_init,
+                       setup.y_target),
+        setup.grid,
+        ParaoptOptions(outer_tol=1e-13, max_outer=500,
+                       inner_solver="assembled_direct", workers=1),
+        reference=InterfaceVector.from_stacked(x_star, L, 1),
+        x0=InterfaceVector.from_stacked(x0, L, 1))
+    floor = 1e2 * np.finfo(float).eps * max(1.0, np.abs(x_star).max())
+    errors = report.errors
+    reached = np.flatnonzero(errors <= max(1e-12, floor))
+    if reached.size:
+        errors = errors[:reached[0] + 1]
+    above = errors > floor
+    tail = [errors[k + 1] / errors[k] for k in range(len(errors) - 1)
+            if above[k] and above[k + 1]][-5:]
+    return float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
+
+
 def test_iteration_contraction_matches_spectrum():
     with criterion("stationary iteration contraction vs spectral radius"):
         for setup, rho in _sample_measurable_setups(10):
@@ -101,9 +128,9 @@ def test_iteration_contraction_matches_spectrum():
             for _ in range(50):
                 v = M @ v
                 v /= np.linalg.norm(v)
-            x0 = np.linalg.solve(A_f, rhs) + v
-            run = la.linear_iterate(setup, x0=x0, max_iters=500, tol=1e-12)
-            assert abs(run.contraction - rho) <= 0.1 * rho, (setup, rho)
+            x_star = np.linalg.solve(A_f, rhs)
+            contraction = _solver_contraction(setup, x_star, x_star + v)
+            assert abs(contraction - rho) <= 0.1 * rho, (setup, rho)
 
 
 def test_exact_jacobian_single_outer_iteration():

@@ -41,6 +41,19 @@ def test_conflicting_step_spec_exit_5():
                  "--dt=0.1"]) == EXIT_CONFLICT
 
 
+def test_dt_equals_fine_with_explicit_fine_per_coarse_exit_5(tmp_path):
+    # an explicit 100 equals the default and must still be caught
+    assert main(["solve", "--dt-equals-fine",
+                 "--fine-per-coarse=100"]) == EXIT_CONFLICT
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fine-per-coarse=100\n", encoding="utf-8")
+    assert main(["solve", f"--config={cfg}",
+                 "--dt-equals-fine"]) == EXIT_CONFLICT
+    cfg = parse_config(["solve", "--dt-equals-fine", "--fine-per-coarse=1"])
+    assert cfg["fine-per-coarse"] == 1
+    assert parse_config(["solve"])["fine-per-coarse"] == 100
+
+
 def test_dt_not_tiling_the_subinterval_exit_6(capsys):
     # T/L/dt = 2.5 coarse steps per sub-interval
     assert main(["analyze", "--T=1", "--L=4", "--dt=0.1"]) == EXIT_INVALID

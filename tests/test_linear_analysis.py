@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paraopt import (InvalidParameterError, UnsupportedRegimeError, make_grid)
+from paraopt import (InterfaceVector, InvalidParameterError, ParaoptOptions,
+                     UnsupportedRegimeError, make_dahlquist, make_grid,
+                     paraopt_solve)
 from paraopt import linear_analysis as la
 
 TABLE_GRID = make_grid(100.0, 30, 5000, 50)
@@ -18,19 +20,19 @@ def setups(sigma, alpha=1.0, grid=TABLE_GRID):
 # -- closed-form coefficients ------------------------------------------------
 
 def test_beta_golden_values():
-    DT = TABLE_GRID.sub_length
-    assert np.isclose(la.beta(-0.125, TABLE_GRID.coarse_step, DT), 0.6604,
+    DT, dt = TABLE_GRID.sub_length, TABLE_GRID.coarse_step
+    assert np.isclose(la.scalar_coefficients(-0.125, dt, DT)[0], 0.6604,
                       rtol=1e-3)
-    assert la.beta(-1.0, 1.0, 1.0) == 0.5
-    assert np.isclose(la.beta(-16.0, TABLE_GRID.coarse_step, DT), 1.72e-16,
+    assert la.scalar_coefficients(-1.0, 1.0, 1.0)[0] == 0.5
+    assert np.isclose(la.scalar_coefficients(-16.0, dt, DT)[0], 1.72e-16,
                       rtol=3e-3)
 
 
 def test_gamma_golden_values():
-    DT = TABLE_GRID.sub_length
-    assert np.isclose(la.gamma(-0.125, TABLE_GRID.coarse_step, DT), 2.2462,
+    DT, dt = TABLE_GRID.sub_length, TABLE_GRID.coarse_step
+    assert np.isclose(la.scalar_coefficients(-0.125, dt, DT)[1], 2.2462,
                       rtol=1e-3)
-    assert la.gamma(-1.0, 1.0, 1.0) == 0.25
+    assert la.scalar_coefficients(-1.0, 1.0, 1.0)[1] == 0.25
 
 
 @pytest.mark.parametrize("sigma,tau,DT", [
@@ -40,14 +42,13 @@ def test_gamma_matches_explicit_sum(sigma, tau, DT):
     N = round(DT / tau)
     explicit = tau * math.fsum((1.0 - sigma * tau) ** (2 * (j - N))
                                for j in range(N))
-    assert np.isclose(la.gamma(sigma, tau, DT), explicit, rtol=1e-12)
+    assert np.isclose(la.scalar_coefficients(sigma, tau, DT)[1], explicit,
+                      rtol=1e-12)
 
 
 def test_beta_rejects_non_integer_ratio():
     with pytest.raises(InvalidParameterError):
-        la.beta(-1.0, 0.3, 1.0)
-    with pytest.raises(InvalidParameterError):
-        la.gamma(-1.0, 0.3, 1.0)
+        la.scalar_coefficients(-1.0, 0.3, 1.0)
 
 
 # -- summary -----------------------------------------------------------------
@@ -176,24 +177,24 @@ def test_charpoly_identical_grids_all_zero():
     assert np.abs(roots).max() == 0.0
 
 
-def test_charpoly_coefficients_evaluate_to_zero_at_roots():
-    setup = setups(-1.0, alpha=1.0)
-    coeffs = la.charpoly_coefficients(setup)
+def test_charpoly_degenerate_differences_match_spectrum():
+    # both beta underflow to 0, so dbeta == 0 while dgamma != 0: the roots
+    # come from the direct expansion, not the a = beta - dbeta/mu transform
+    from scipy.optimize import linear_sum_assignment
+
+    setup = la.DahlquistSetup(-1e8, 1.0, make_grid(300.0, 3, 400, 100))
+    s = la.spectral_summary(setup)
+    assert s.delta_beta == 0.0 and s.delta_gamma != 0.0
+    ev = la.iteration_spectrum(setup)
     roots = la.charpoly_roots(setup)
-    mu = roots[np.argmax(np.abs(roots))]
-    value = np.polyval(coeffs[::-1], mu)
-    # normalize by the coefficient scale at |mu|
-    scale = np.polyval(np.abs(coeffs[::-1]), abs(mu))
-    assert abs(value) / scale <= 1e-12
+    D = np.abs(ev[:, None] - np.concatenate([roots, [0.0, 0.0]])[None, :])
+    ri, ci = linear_sum_assignment(D)
+    assert D[ri, ci].max() <= 1e-8
+    rho = abs(s.delta_gamma) / (1.0 + s.gamma_coarse)
+    assert np.isclose(np.abs(roots).max(), rho, rtol=1e-12, atol=0.0)
 
 
 # -- stationary iteration ----------------------------------------------------
-
-def test_linear_iterate_identical_grids_one_step():
-    g = make_grid(1.0, 3, 5, 5)
-    run = la.linear_iterate(la.DahlquistSetup(-1.0, 1.0, g))
-    assert run.converged and run.iterations == 1
-
 
 def _dominant_direction(setup, iters=40):
     A_f, rhs = la.assemble_system(setup, "fine")
@@ -206,33 +207,38 @@ def _dominant_direction(setup, iters=40):
     return v
 
 
-def test_linear_iterate_contraction_matches_rho_table_case():
+def test_solver_contraction_matches_rho_table_case():
+    # paraopt_solve started on the slowest mode contracts at rho per step
     setup = setups(-0.25)
     rho = la.spectral_radius(setup)
     A_f, rhs = la.assemble_system(setup, "fine")
-    x0 = np.linalg.solve(A_f, rhs) + _dominant_direction(setup)
-    run = la.linear_iterate(setup, x0=x0, max_iters=400, tol=1e-12)
-    assert abs(run.contraction - rho) <= 0.1 * rho
-
-
-def test_linear_iterate_divergence_flag():
-    # tiny alpha far below the contraction threshold: rho > 1
-    g = make_grid(20.0, 10, 100, 1)
-    setup = la.DahlquistSetup(-3.0, 1e-7, g)
-    assert la.spectral_radius(setup) > 1.0
-    run = la.linear_iterate(setup, max_iters=400)
-    assert run.diverged and not run.converged
+    x_star = np.linalg.solve(A_f, rhs)
+    L = TABLE_GRID.num_subintervals
+    report = paraopt_solve(
+        make_dahlquist(-0.25, 1.0), TABLE_GRID,
+        ParaoptOptions(outer_tol=1e-13, max_outer=400,
+                       inner_solver="assembled_direct", workers=1),
+        reference=InterfaceVector.from_stacked(x_star, L, 1),
+        x0=InterfaceVector.from_stacked(x_star + _dominant_direction(setup),
+                                        L, 1))
+    # below 1e-12 the error is round-off, not the slowest mode
+    errors = report.errors[report.errors > 1e-12]
+    contraction = (errors[-1] / errors[0]) ** (1.0 / (len(errors) - 1))
+    assert abs(contraction - rho) <= 0.1 * rho
 
 
 # -- sigma sweeps and global bound -------------------------------------------
 
 def test_rho_max_over_sigma_bounds():
     g = make_grid(1.0, 5, 500, 5)
-    sigmas = -np.logspace(-2, 4, 25)
-    sweep = la.rho_max_over_sigma(1.0, g, sigmas)
-    assert np.all(sweep.rhos <= sweep.rho_bounds * (1 + 1e-9) + 1e-14)
-    assert sweep.max_rho <= sweep.global_bound
-    assert sweep.rhos[np.argmax(sweep.rhos)] == sweep.max_rho
+    rhos = []
+    for sigma in -np.logspace(-2, 4, 25):
+        setup = la.DahlquistSetup(float(sigma), 1.0, g)
+        rho = la.spectral_radius(setup)
+        bound = la.spectral_summary(setup).rho_bound
+        assert rho <= bound * (1 + 1e-9) + 1e-14
+        rhos.append(rho)
+    assert max(rhos) <= la.global_rho_bound(1.0, g.coarse_step)
 
 
 def test_global_bound_boundary_alpha():

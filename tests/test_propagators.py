@@ -188,9 +188,8 @@ def test_linear_blocks_structure():
     g = make_grid(2.0, 2, 10, 5)
     lin = coarse_linearize(p, g, 1, [1.0], [0.0])
     Py, Pl, Qy, Ql = lin.blocks()
-    from paraopt.linear_analysis import beta, gamma
-    b = beta(-0.5, g.coarse_step, g.sub_length)
-    c = gamma(-0.5, g.coarse_step, g.sub_length)
+    from paraopt.linear_analysis import scalar_coefficients
+    b, c = scalar_coefficients(-0.5, g.coarse_step, g.sub_length)
     assert np.isclose(Py[0, 0], b)
     assert np.isclose(Ql[0, 0], b)
     assert np.isclose(Pl[0, 0], -c / 2.0)
