@@ -24,15 +24,18 @@ control picks up an extra solve with the step matrix):
       y_{j+1} = y_j + tau * (f(y_{j+1}) - B B^T lam_{j+1} / alpha),
       (I - tau * f'(y_j)^T) lam_j = lam_{j+1},
   solved by a damped Newton iteration on the stacked unknowns with an
-  analytic block-banded Jacobian, written into LAPACK band storage through
-  one strided view per block type.  A cold solve starts from constant
-  states Y and adjoints Lam_plus.  ``fine_propagate(..., start=traj)``
-  instead starts from an earlier trajectory of the same window (the outer
-  iteration passes the previous iterate's) with the new boundary values
-  written in, and always takes at least one Newton step: a start that
-  already meets the tolerance would otherwise keep its old P and Q,
-  ignoring the new Y and Lam_plus, which stalls the outer iteration near
-  the tolerance.  Linear windows are closed-form and ignore ``start``.
+  analytic block-banded Jacobian of scalar bandwidths (2n, 2n): only the
+  -I couplings of an equation to the previous state and the next adjoint
+  reach 2n off the diagonal.  It is written into LAPACK band storage entry
+  by entry, one write over all slots per entry.  A cold solve starts from
+  constant states Y and adjoints Lam_plus.
+  ``fine_propagate(..., start=traj)`` instead starts from an earlier
+  trajectory of the same window (the outer iteration passes the previous
+  iterate's) with the new boundary values written in, and always takes at
+  least one Newton step: a start that already meets the tolerance would
+  otherwise keep its old P and Q, ignoring the new Y and Lam_plus, which
+  stalls the outer iteration near the tolerance.  Linear windows are
+  closed-form and ignore ``start``.
   A window solve allocates its band matrix once and refills it on every
   Newton step.  The banded LU is LAPACK ``dgbsv``, called through the
   function pointer scipy exports for Cython and ctypes, which releases the
@@ -208,31 +211,13 @@ def _linear_trajectory(ops: _LinearOps, Y, Lam_plus, P, Q):
 #
 # Unknown layout groups time slot t = 0..m-1 as (lam_t, y_{t+1}); equation
 # rows pair the adjoint residual R2_t with the state residual R1_t.  The
-# Jacobian is block banded with scalar bandwidths (3n-1, 3n-1); it is
-# assembled directly in LAPACK gbsv storage, ab[l+u+i-j, j] = A[i, j].
+# Jacobian is block banded with scalar bandwidths (2n, 2n): the -I blocks of
+# R2_t on lam_{t+1} and of R1_t on y_t lie exactly 2n off the diagonal, every
+# dense block within 2n-1.  It is assembled directly in LAPACK gbsv storage,
+# ab[l+u+i-j, j] = A[i, j].
 
 def _bandwidth(n: int) -> int:
-    return 3 * n - 1
-
-
-def _block_view(ab: Array, n: int, row0: int, col0: int, t0: int,
-                count: int) -> Array:
-    """Strided view of ``ab`` on one block type of the banded Jacobian.
-
-    Element [t, a, b] is the storage of A[i, j] with i = 2n(t0+t) + row0 + a
-    and j = 2n(t0+t) + col0 + b: slot t0+t's block at row offset ``row0`` and
-    column offset ``col0`` (-n and 2n reach into the previous and the next
-    slot).  In column-major ``ab`` that entry sits at flat index
-    (l+u+i-j) + rows*j, so a, b and t step by 1, rows-1 and 2n*rows.
-    """
-    rows = ab.shape[0]
-    lu = 2 * _bandwidth(n)
-    j0 = 2 * n * t0 + col0
-    start = (lu + row0 - col0) + rows * j0
-    item = ab.itemsize
-    return np.lib.stride_tricks.as_strided(
-        ab.reshape(-1, order="F")[start:], shape=(count, n, n),
-        strides=(2 * n * rows * item, item, (rows - 1) * item))
+    return 2 * n
 
 
 def _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha):
@@ -261,26 +246,36 @@ def _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
     """
     n = problem.dim
     m = len(y) - 1
+    w = 2 * n                  # columns per slot, and the bandwidth
     ab.fill(0.0)
-    eye = np.eye(n)
+    # V[r, c, s] = ab[r, w*s + c]: slot s's column c; A[i, j] sits in row
+    # r = 2w + i - j, so each Jacobian entry is one write over the slots
+    V = ab.reshape((ab.shape[0], w, m), order="F")
     jac = problem.jacobian_many(y)
-    # R2_t = lam_t - tau f'(y_t)^T lam_t - lam_{t+1}; y_t is slot t-1's
-    # state column, n columns left of slot t
-    _block_view(ab, n, 0, 0, 0, m)[:] = eye - tau * np.transpose(jac[:-1], (0, 2, 1))
-    _block_view(ab, n, 0, 2 * n, 0, m - 1)[:] = -eye
-    if not gauss_newton:
-        K = problem.hess_coupling_many(y[:-1], lam[:-1])
-        _block_view(ab, n, 0, -n, 1, m - 1)[:] = -tau * K[1:]
-    # R1_t = y_{t+1} - y_t - tau f(y_{t+1}) + tau BB^T lam_{t+1} / alpha
-    _block_view(ab, n, n, n, 0, m)[:] = eye - tau * jac[1:]
-    _block_view(ab, n, n, -n, 1, m - 1)[:] = -eye
-    _block_view(ab, n, n, 2 * n, 0, m - 1)[:] = tau * bbt_over_alpha
+    K = None if gauss_newton else problem.hess_coupling_many(y[:-1], lam[:-1])
+    for a in range(n):
+        # -I of R2_t on lam_{t+1} and of R1_t on y_t (slot t-1's state)
+        V[w, a, 1:] = -1.0
+        V[3 * w, n + a, :-1] = -1.0
+        for b in range(n):
+            delta = 1.0 if a == b else 0.0
+            r = 2 * w + a - b
+            # R2_t = lam_t - tau f'(y_t)^T lam_t - lam_{t+1}; its Newton
+            # term -tau K_t acts on y_t
+            V[r, b, :] = delta - tau * jac[:-1, b, a]
+            if K is not None:
+                V[r + n, n + b, :-1] = -tau * K[1:, a, b]
+            # R1_t = y_{t+1} - y_t - tau f(y_{t+1})
+            #        + tau BB^T lam_{t+1} / alpha
+            V[r, n + b, :] = delta - tau * jac[1:, a, b]
+            V[r - n, b, 1:] = tau * bbt_over_alpha[a, b]
     if terminal:
         # lam_m = y_m - y_target puts y_m (the last slot's state column) into
-        # R2_{m-1} with -I and into R1_{m-1} with tau*BB^T/alpha; both
-        # blocks lie inside the band.
-        _block_view(ab, n, 0, n, m - 1, 1)[:] = -eye
-        _block_view(ab, n, n, n, m - 1, 1)[:] += tau * bbt_over_alpha
+        # R2_{m-1} with -I and into R1_{m-1} with tau*BB^T/alpha
+        for a in range(n):
+            V[w + n, n + a, -1] = -1.0
+            for b in range(n):
+                V[2 * w + a - b, n + b, -1] += tau * bbt_over_alpha[a, b]
     return ab
 
 

@@ -253,9 +253,19 @@ def solve_jacobian_system(linearizations: list, rhs: Array,
 
 def verify_residual(problem: ControlProblem, grid: TimeGrid,
                     X: InterfaceVector, options: ParaoptOptions) -> float:
-    """Independent re-check of ||F(X)||_inf with fresh, tighter window solves."""
-    F, trajs = residual(problem, grid, X, tol=options.local_tol / 10.0,
-                        max_newton=options.local_max_newton + 10, workers=1)
+    """Independent re-check of ||F(X)||_inf with fresh, tighter window solves.
+
+    A failing window's error is raised with "verification" in its message,
+    so it is not taken for a failure of the solve.
+    """
+    try:
+        F, trajs = residual(problem, grid, X, tol=options.local_tol / 10.0,
+                            max_newton=options.local_max_newton + 10,
+                            workers=1)
+    except (NewtonDivergenceError, SingularStepError) as exc:
+        # the window already named itself; add the phase
+        exc.args = (f"verification: {exc}",)
+        raise
     worst = max(window_recurrence_residual(problem, t) for t in trajs)
     if worst > options.local_tol:
         raise NewtonDivergenceError(

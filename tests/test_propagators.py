@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from paraopt import (SingularStepError, coarse_linearize, fine_propagate,
-                     make_dahlquist, make_grid, make_heat_1d,
+from paraopt import (ControlProblem, SingularStepError, coarse_linearize,
+                     fine_propagate, make_dahlquist, make_grid, make_heat_1d,
                      make_lotka_volterra, propagators)
 from paraopt.propagators import (_assemble_banded, _band_workspace,
                                  _banded_solve, _nonlinear_residual,
@@ -244,6 +244,16 @@ def _dense_window_jacobian(p, y, lam, tau, gauss_newton, terminal):
     return A
 
 
+def _band_to_dense(ab, n):
+    """The dense matrix held in a window's gbsv storage ``ab``."""
+    l, size = propagators._bandwidth(n), ab.shape[1]
+    dense = np.zeros((size, size))
+    for i in range(size):
+        for j in range(max(0, i - l), min(size, i + l + 1)):
+            dense[i, j] = ab[2 * l + i - j, j]
+    return dense
+
+
 @pytest.mark.parametrize("gauss_newton,terminal",
                          [(False, False), (True, False), (False, True)])
 def test_banded_assembly_matches_dense_jacobian(gauss_newton, terminal):
@@ -260,13 +270,8 @@ def test_banded_assembly_matches_dense_jacobian(gauss_newton, terminal):
     ab.fill(np.nan)
     assert _assemble_banded(ab, p, y, lam, tau, bbt, gauss_newton,
                             terminal) is ab
-    l = 3 * n - 1
-    dense = np.zeros((2 * n * m, 2 * n * m))
-    for i in range(2 * n * m):
-        for j in range(max(0, i - l), min(2 * n * m, i + l + 1)):
-            dense[i, j] = ab[2 * l + i - j, j]
     expected = _dense_window_jacobian(p, y, lam, tau, gauss_newton, terminal)
-    assert np.array_equal(dense, expected)
+    assert np.array_equal(_band_to_dense(ab, n), expected)
     assert np.count_nonzero(ab) == np.count_nonzero(expected)
     if gauss_newton:
         return
@@ -289,10 +294,52 @@ def test_banded_assembly_matches_dense_jacobian(gauss_newton, terminal):
     assert np.abs(fd - expected).max() <= 1e-6 * np.abs(expected).max()
 
 
+def _random_dense_problem(n, seed):
+    """A nonlinear problem whose assembly blocks are dense and non-symmetric.
+
+    The callables are seeded and depend on the first row entry, so every
+    slot gets its own f' and K; they are not derivatives of one f, which
+    the assembly does not need.
+    """
+    rng = np.random.default_rng(seed)
+    B, J0, J1, K0, K1 = rng.standard_normal((5, n, n))
+    return ControlProblem(
+        dim=n, alpha=0.7, y_init=rng.standard_normal(n),
+        y_target=rng.standard_normal(n), control_operator=B,
+        rhs_many=lambda Y: Y @ J0.T,
+        jacobian_many=lambda Y: J0 + Y[:, :1, None] * J1,
+        hess_coupling_many=lambda Y, Lam: K0 + Lam[:, :1, None] * K1)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("gauss_newton,terminal",
+                         [(False, False), (True, False), (False, True)])
+def test_banded_assembly_general_dimension(n, gauss_newton, terminal):
+    # dense BB^T, f' and K with distinct (a, b) and (b, a) entries catch a
+    # transposed block that predator-prey's BB^T = I and symmetric K hide
+    p = _random_dense_problem(n, seed=40 + n)
+    m, tau = 5, 0.1
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((m + 1, n))
+    lam = rng.standard_normal((m + 1, n))
+    if terminal:
+        lam[-1] = y[-1] - p.y_target
+    ab = _band_workspace(n, m)
+    ab.fill(np.nan)
+    _assemble_banded(ab, p, y, lam, tau, p.bbt() / p.alpha, gauss_newton,
+                     terminal)
+    expected = _dense_window_jacobian(p, y, lam, tau, gauss_newton, terminal)
+    assert np.array_equal(_band_to_dense(ab, n), expected)
+    assert np.count_nonzero(ab) == np.count_nonzero(expected)
+    # the band is tight: the -I couplings reach exactly 2n
+    i, j = np.nonzero(expected)
+    assert np.abs(i - j).max() == propagators._bandwidth(n) == 2 * n
+
+
 def _random_band_system(n, m, seed, nrhs=None):
     """A diagonally dominant system in gbsv storage and a right-hand side."""
     rng = np.random.default_rng(seed)
-    l, size = 3 * n - 1, 2 * n * m
+    l, size = propagators._bandwidth(n), 2 * n * m
     ab = np.zeros((3 * l + 1, size), order="F")
     ab[l:] = rng.uniform(-1.0, 1.0, (2 * l + 1, size))
     ab[2 * l] += 4.0 * l     # diagonal row
@@ -305,7 +352,7 @@ def test_banded_solve_matches_scipy_dgbsv(nrhs):
     n = 2
     ab, rhs = _random_band_system(n, 60, seed=11, nrhs=nrhs)
     rhs_before = rhs.copy()
-    l = 3 * n - 1
+    l = propagators._bandwidth(n)
     _, _, expected, info = lapack.dgbsv(l, l, ab.copy(order="F"), rhs)
     assert info == 0
     x = _banded_solve(n, ab, rhs, "test")

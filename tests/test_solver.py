@@ -263,6 +263,29 @@ def test_verify_residual_matches_solver():
     assert verify_residual(p2, g2, rep2.final, opts2) <= 10 * opts2.outer_tol
 
 
+def test_verification_failure_names_its_phase_and_window(monkeypatch):
+    p = make_lotka_volterra()
+    g = make_grid(1.0 / 3.0, 3, 40, 4)
+    X = default_initial_guess(p, g)
+    # a tolerance no window meets
+    opts = ParaoptOptions(local_tol=1e-300, local_max_newton=1)
+    with pytest.raises(NewtonDivergenceError, match="verification") as info:
+        verify_residual(p, g, X, opts)
+    assert info.value.subinterval == 1
+    assert "fine window 1" in str(info.value)
+    assert info.value.residual is not None
+
+    def singular(problem, grid, ell, *args, **kwargs):
+        if ell == 2:
+            raise SingularStepError("singular window system")
+        return fine_propagate(problem, grid, ell, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "fine_propagate", singular)
+    with pytest.raises(SingularStepError, match="verification") as info:
+        verify_residual(p, g, X, ParaoptOptions())
+    assert info.value.subinterval == 2
+
+
 def test_zero_adjoint_guess_option_linear():
     # a guess with zero adjoints, passed as x0; matching grids give the
     # exact Jacobian, so one outer step converges from any start
