@@ -21,12 +21,14 @@ class SingularStepError(ParaoptError):
     """A time-step matrix (I - tau*f'(y)) is singular to working precision.
 
     ``subinterval`` names the failing window when a window solve or its
-    derivative blocks raised it.
+    derivative blocks raised it, ``phase`` the step of the solve that failed
+    (see :class:`NewtonDivergenceError`).
     """
 
-    def __init__(self, message, *, subinterval=None):
+    def __init__(self, message, *, subinterval=None, phase=None):
         super().__init__(message)
         self.subinterval = subinterval
+        self.phase = phase
 
 
 class SingularMatrixError(ParaoptError):
@@ -36,13 +38,18 @@ class SingularMatrixError(ParaoptError):
 class NewtonDivergenceError(ParaoptError):
     """A local sub-interval Newton solve failed to reach its tolerance.
 
-    Carries enough context to locate the failing sub-interval.
+    Carries enough context to locate the failing sub-interval: its index
+    ``subinterval`` and the ``phase`` that ran it, one of "fine", "coarse",
+    "blocks", "reference" and "verification" (None when raised outside a
+    solve).
     """
 
-    def __init__(self, message, *, residual=None, subinterval=None):
+    def __init__(self, message, *, residual=None, subinterval=None,
+                 phase=None):
         super().__init__(message)
         self.residual = residual
         self.subinterval = subinterval
+        self.phase = phase
 
 
 class NoConvergenceError(ParaoptError):

@@ -20,6 +20,10 @@ control picks up an extra solve with the step matrix):
       lam_j   = S^T lam_{j+1},
   so the window maps are Q = (S^T)^m Lam_plus and
   P = S^m Y - (1/alpha) G Lam_plus with G = tau * sum_p S^p B B^T (S^T)^p.
+  These maps and the derivative blocks made of them are built once per
+  dynamics and step: a bounded cache keys them on
+  (``ControlProblem.dynamics_key``, tau, steps), so every window, and every
+  problem with the same A, B and alpha, shares one read-only set.
 * nonlinear problems:
       y_{j+1} = y_j + tau * (f(y_{j+1}) - B B^T lam_{j+1} / alpha),
       (I - tau * f'(y_j)^T) lam_j = lam_{j+1},
@@ -48,8 +52,9 @@ concurrently on distinct sub-intervals.
 from __future__ import annotations
 
 import ctypes
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -120,7 +125,12 @@ class LocalTrajectory:
 # ---------------------------------------------------------------------------
 
 class _LinearOps:
-    """Window maps of the linear scheme for one (problem, tau, steps)."""
+    """Window maps of the linear scheme for one (dynamics, tau, steps).
+
+    ``blocks`` are the derivative blocks (P_y, P_lam, Q_y, Q_lam) of every
+    window these maps serve, built once: read-only arrays that all the
+    windows share.
+    """
 
     def __init__(self, problem: ControlProblem, tau: float, steps: int):
         n = problem.dim
@@ -156,6 +166,9 @@ class _LinearOps:
         self.SN = SN
         self.SNT = SN.T.copy()
         self.G = G
+        self.blocks = (SN, -G / problem.alpha, np.zeros((n, n)), self.SNT)
+        for block in self.blocks:
+            block.setflags(write=False)
 
     def propagate(self, Y: Array, Lam_plus: Array, alpha: float):
         P = self.SN @ Y - (self.G @ Lam_plus) / alpha
@@ -176,9 +189,46 @@ class _LinearOps:
         return y, lam
 
 
-@lru_cache(maxsize=64)
-def _linear_ops(problem: ControlProblem, tau: float, steps: int) -> _LinearOps:
-    return _LinearOps(problem, tau, steps)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _OperatorCache:
+    """Bounded LRU cache of :class:`_LinearOps`, called like its constructor.
+
+    Keyed on the dynamics (``problem.dynamics_key``) and (tau, steps), so
+    problems that differ only in their endpoint data share one operator set.
+    A miss is built under the lock: concurrent windows wait for one build
+    instead of making their own.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def __call__(self, problem: ControlProblem, tau: float,
+                 steps: int) -> _LinearOps:
+        key = (problem.dynamics_key, tau, steps)
+        with self._lock:
+            ops = self._entries.get(key)
+            if ops is not None:
+                self._hits += 1
+                self._entries.move_to_end(key)
+                return ops
+            self._misses += 1
+            ops = self._entries[key] = _LinearOps(problem, tau, steps)
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+            return ops
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self.maxsize,
+                             len(self._entries))
+
+
+_linear_ops = _OperatorCache(maxsize=64)
 
 
 def discrete_control(problem: ControlProblem, tau: float, lam_next: Array) -> Array:
@@ -479,16 +529,16 @@ class CoarseLinearization:
         by one banded factorization of the window's linearized system about
         ``trajectory``, solved for the 2n unit boundary data (dY, then dLam).
         With ``gauss_newton`` the second-derivative coupling of the adjoint
-        equation is dropped.
+        equation is dropped.  A linear problem's blocks do not depend on the
+        window or the variant: every window gets the same read-only arrays
+        of its operator set (``_LinearOps.blocks``), not copies.
         """
         key = bool(gauss_newton)
         if key not in self._blocks:
             n = self.problem.dim
             if self.problem.is_linear:
-                ops = _linear_ops(self.problem, self.trajectory.tau,
-                                  self.trajectory.steps)
-                blocks = (ops.SN.copy(), -ops.G / self.problem.alpha,
-                          np.zeros((n, n)), ops.SNT.copy())
+                blocks = _linear_ops(self.problem, self.trajectory.tau,
+                                     self.trajectory.steps).blocks
             else:
                 # one factorization, 2n right-hand sides (unit dY then dLam)
                 traj = self.trajectory
@@ -512,6 +562,7 @@ class CoarseLinearization:
                         context=f"window {self.subinterval_index} blocks")
                 except SingularStepError as exc:
                     exc.subinterval = self.subinterval_index
+                    exc.phase = "blocks"
                     raise
                 top = du[0:n]
                 bottom = du[(m - 1) * 2 * n + n: m * 2 * n]

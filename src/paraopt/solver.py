@@ -113,8 +113,9 @@ def default_initial_guess(problem: ControlProblem,
     return InterfaceVector(states, np.ones((grid.num_subintervals, problem.dim)))
 
 
-def _window_task(solve, problem, grid, X, tol, max_newton, starts=None):
-    """Task solving window ell from X; a window failure names the window."""
+def _window_task(solve, phase, problem, grid, X, tol, max_newton,
+                 starts=None):
+    """Task solving window ell from X; a failure names the window and phase."""
     def task(ell):
         warm = {} if starts is None else {"start": starts[ell - 1]}
         try:
@@ -122,6 +123,7 @@ def _window_task(solve, problem, grid, X, tol, max_newton, starts=None):
                          X.adjoints[ell - 1], tol, max_newton, **warm)
         except (NewtonDivergenceError, SingularStepError) as exc:
             exc.subinterval = ell
+            exc.phase = phase
             raise
     return task
 
@@ -142,8 +144,8 @@ def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
     if starts is not None and len(starts) != L:
         raise InvalidParameterError("need one start trajectory per window")
     results = parallel_map(
-        _window_task(fine_propagate, problem, grid, X, tol, max_newton,
-                     starts),
+        _window_task(fine_propagate, "fine", problem, grid, X, tol,
+                     max_newton, starts),
         range(1, L + 1), workers)
     F = np.empty((2 * L + 1, n))
     F[0] = X.states[0] - problem.y_init
@@ -190,50 +192,55 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
     """Full (unrestarted, unpreconditioned) GMRES from the zero iterate.
 
     Arnoldi with modified Gram-Schmidt and Givens rotations; stops when the
-    relative residual drops below ``tol``.  Returns (x, iterations, relative
-    residual, converged).
+    relative residual drops below ``tol``.  Memory follows the iterations
+    taken, not ``max_iters``: the Krylov basis doubles when full, and the
+    Hessenberg columns are kept as lists of Python floats, on which the
+    rotations run.  Returns (x, iterations, relative residual, converged).
     """
     b = np.asarray(b, dtype=float)
-    beta = np.linalg.norm(b)
+    beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b), 0, 0.0, True
     D = b.size
     max_iters = min(max_iters, D)
-    V = np.empty((max_iters + 1, D))
-    H = np.zeros((max_iters + 1, max_iters))
-    cs = np.empty(max_iters)
-    sn = np.empty(max_iters)
-    g = np.zeros(max_iters + 1)
+    V = np.empty((min(max_iters, 16) + 1, D))
     V[0] = b / beta
-    g[0] = beta
-    k = 0
+    R = []             # rotated Hessenberg columns, the triangular factor
+    cs, sn = [], []
+    g = [beta]
     relres = 1.0
     for j in range(max_iters):
         w = matvec(V[j])
-        for i in range(j + 1):
-            H[i, j] = V[i] @ w
-            w = w - H[i, j] * V[i]
-        h_next = np.linalg.norm(w)
+        h = [float(V[0] @ w)]
+        w = w - h[0] * V[0]     # a new array, whatever matvec returned
+        for i in range(1, j + 1):
+            h.append(float(V[i] @ w))
+            w -= h[i] * V[i]
+        h_next = float(np.linalg.norm(w))
         for i in range(j):
-            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-            H[i, j] = t
-        r = np.hypot(H[j, j], h_next)
-        if r == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
-        else:
-            cs[j], sn[j] = H[j, j] / r, h_next / r
-        H[j, j] = r
-        g[j + 1] = -sn[j] * g[j]
-        g[j] = cs[j] * g[j]
-        k = j + 1
+            h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                              -sn[i] * h[i] + cs[i] * h[i + 1])
+        r = float(np.hypot(h[j], h_next))
+        c, s = (1.0, 0.0) if r == 0.0 else (h[j] / r, h_next / r)
+        cs.append(c)
+        sn.append(s)
+        h[j] = r
+        R.append(h)
+        g.append(-s * g[j])
+        g[j] = c * g[j]
         relres = abs(g[j + 1]) / beta
         if relres <= tol or h_next == 0.0:  # happy breakdown: exact in span
             break
         if j + 1 < max_iters:
+            if j + 1 == len(V):             # the basis is full: double it
+                extra = min(len(V), max_iters + 1 - len(V))
+                V = np.concatenate((V, np.empty((extra, D))))
             V[j + 1] = w / h_next
-    y = np.linalg.solve(H[:k, :k], g[:k]) if k else np.zeros(0)
-    x = V[:k].T @ y if k else np.zeros_like(b)
+    k = len(R)
+    H = np.zeros((k, k))
+    for col, h in enumerate(R):
+        H[:col + 1, col] = h
+    x = V[:k].T @ np.linalg.solve(H, g[:k])
     return x, k, relres, relres <= tol
 
 
@@ -265,12 +272,13 @@ def verify_residual(problem: ControlProblem, grid: TimeGrid,
     except (NewtonDivergenceError, SingularStepError) as exc:
         # the window already named itself; add the phase
         exc.args = (f"verification: {exc}",)
+        exc.phase = "verification"
         raise
     worst = max(window_recurrence_residual(problem, t) for t in trajs)
     if worst > options.local_tol:
         raise NewtonDivergenceError(
             f"verification windows missed their tolerance ({worst:.3e})",
-            residual=worst)
+            residual=worst, phase="verification")
     return float(np.abs(F).max())
 
 
@@ -319,7 +327,7 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     while not converged and len(residuals) <= options.max_outer:
         t0 = time.perf_counter()
         lins = parallel_map(
-            _window_task(coarse_linearize, problem, grid, X,
+            _window_task(coarse_linearize, "coarse", problem, grid, X,
                          options.local_tol, options.local_max_newton),
             range(1, L + 1), workers)
         dX, stats = solve_jacobian_system(lins, -F, options, workers)
@@ -372,7 +380,11 @@ def reference_solve(problem: ControlProblem, grid: TimeGrid,
                 problem, problem.y_init, None, single.fine_step,
                 single.fine_steps, options.local_tol,
                 options.local_max_newton, context="reference")
+        except SingularStepError as exc:
+            exc.phase = "reference"
+            raise
         except NewtonDivergenceError as exc:
+            exc.phase = "reference"
             raise NoConvergenceError(
                 f"reference solve diverged: {exc}") from exc
         idx = np.arange(L + 1) * N

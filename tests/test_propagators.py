@@ -1,12 +1,14 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from paraopt import (ControlProblem, SingularStepError, coarse_linearize,
-                     fine_propagate, make_dahlquist, make_grid, make_heat_1d,
-                     make_lotka_volterra, propagators)
+from paraopt import (ControlProblem, ParaoptOptions, SingularStepError,
+                     coarse_linearize, fine_propagate, make_dahlquist,
+                     make_grid, make_heat_1d, make_lotka_volterra,
+                     paraopt_solve, propagators)
 from paraopt.propagators import (_assemble_banded, _band_workspace,
                                  _banded_solve, _nonlinear_residual,
                                  window_recurrence_residual)
@@ -194,6 +196,113 @@ def test_linear_blocks_structure():
     assert np.isclose(Ql[0, 0], b)
     assert np.isclose(Pl[0, 0], -c / 2.0)
     assert Qy[0, 0] == 0.0
+
+
+def test_linear_blocks_are_shared_and_read_only():
+    p = make_heat_1d(n=12)
+    g = make_grid(1e-2, 4, 40, 8)
+    lins = [coarse_linearize(p, g, ell, p.y_init, np.ones(12))
+            for ell in range(1, 5)]
+    first = lins[0].blocks()
+    for lin in lins:
+        for variant in (False, True):
+            assert all(a is b for a, b in zip(lin.blocks(variant), first))
+    for block in first:
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    assert not np.any(first[2])
+
+
+def _heat_like(p, **changes):
+    """A problem with ``p``'s data except for ``changes``."""
+    fields = dict(dim=p.dim, alpha=p.alpha, y_init=p.y_init,
+                  y_target=p.y_target, control_operator=p.control_operator,
+                  linear_matrix=p.linear_matrix)
+    fields.update(changes)
+    return ControlProblem(**fields)
+
+
+def test_linear_ops_shared_by_equal_dynamics():
+    tau, steps = 1e-4, 20
+    p = make_heat_1d(n=50)
+    q = make_heat_1d(n=50, y_init_fn=lambda x: np.cos(2 * np.pi * x),
+                     y_target_fn=lambda x: x)
+    assert not np.array_equal(p.y_init, q.y_init)
+    assert not np.array_equal(p.y_target, q.y_target)
+    ops = propagators._linear_ops(p, tau, steps)
+    assert propagators._linear_ops(q, tau, steps) is ops
+    assert propagators._linear_ops(p, tau, steps + 1) is not ops
+    B = p.control_operator.copy()
+    B[0, 0] = 1.0 - B[0, 0]
+    A = p.linear_matrix * 2.0
+    for other in (make_heat_1d(n=50, alpha=2e-4), _heat_like(p, alpha=2e-4),
+                  _heat_like(p, control_operator=B),
+                  _heat_like(p, control_operator=None),
+                  _heat_like(p, linear_matrix=A)):
+        assert propagators._linear_ops(other, tau, steps) is not ops
+
+
+def test_linear_ops_built_once_per_dynamics(monkeypatch):
+    built = []
+
+    class Counting(propagators._LinearOps):
+        def __init__(self, *args):
+            built.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(propagators, "_LinearOps", Counting)
+    monkeypatch.setattr(propagators, "_linear_ops",
+                        propagators._OperatorCache(maxsize=64))
+    g = make_grid(1e-2, 3, 30, 6)
+    counts = []
+    for k in range(10):
+        centre = 0.3 + 0.04 * k
+        p = make_heat_1d(
+            n=20, alpha=3.7e-4,
+            y_init_fn=lambda x: np.exp(-100.0 * (x - centre) ** 2))
+        report = paraopt_solve(p, g, ParaoptOptions(max_outer=2,
+                                                    workers=2))
+        assert report.iterations >= 1
+        counts.append(len(built))
+    assert counts[0] >= 2          # fine and coarse step
+    assert counts == [counts[0]] * 10
+
+
+def test_operator_cache_builds_once_under_contention():
+    # more threads than cores and a short switch interval: a check-then-act
+    # race in the cache would build a key twice or hand out two objects
+    problems = [make_heat_1d(n=40, alpha=a) for a in (1.0, 2.0, 3.0)]
+    threads_n, rounds = 8, 20
+    cache = propagators._OperatorCache(maxsize=len(problems) * rounds)
+    got = [[] for _ in range(threads_n)]
+    start = threading.Barrier(threads_n, timeout=30)
+
+    def work(i):
+        p = problems[i % len(problems)]
+        for r in range(rounds):
+            start.wait()      # each round, about 3 threads miss one new key
+            got[i].append(((p.alpha, r), cache(p, 0.01 * (r + 1), 5)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    seen = {}
+    for results in got:
+        assert len(results) == rounds
+        for key, ops in results:
+            assert seen.setdefault(key, ops) is ops
+    info = cache.cache_info()
+    assert info.misses == len(seen) == info.currsize == len(problems) * rounds
+    assert info.hits == threads_n * rounds - info.misses
 
 
 def test_singular_step_raises():
@@ -413,3 +522,4 @@ def test_blocks_singular_step_names_its_window(monkeypatch):
     with pytest.raises(SingularStepError) as info:
         lin.blocks()
     assert info.value.subinterval == 3
+    assert info.value.phase == "blocks"

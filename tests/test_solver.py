@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,35 @@ def test_gmres_solves_small_system():
     assert np.allclose(A @ x, b, atol=1e-10)
     x0, it0, _, ok0 = gmres(lambda v: A @ v, np.zeros(12), 1e-12, 12)
     assert ok0 and it0 == 0 and np.all(x0 == 0.0)
+
+
+def test_gmres_memory_follows_iterations_taken():
+    # a basis preallocated for max_iters = D would need 26.8 GiB here
+    b = np.ones(60_000)
+    tracemalloc.start()
+    try:
+        x, iters, relres, ok = gmres(lambda v: 2.0 * v, b, 1e-12, 60_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and iters == 1 and relres <= 1e-12
+    assert np.allclose(x, 0.5, rtol=0, atol=1e-14)
+    assert peak < 50 * 2**20
+
+
+@pytest.mark.parametrize("max_iters", [5, 20, 60])
+def test_gmres_relative_residual_is_the_true_one(max_iters):
+    # seeded nonsymmetric system; more iterations than the initial basis
+    # holds, so the basis grows on the way
+    rng = np.random.default_rng(11)
+    A = np.eye(60) + rng.standard_normal((60, 60)) / 12.0
+    assert not np.allclose(A, A.T)
+    b = rng.standard_normal(60)
+    x, iters, relres, ok = gmres(lambda v: A @ v, b, 1e-10, max_iters)
+    true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert iters <= max_iters and ok == (relres <= 1e-10)
+    assert ok == (max_iters == 60)
+    assert abs(relres - true) <= 1e-6 * true
 
 
 def test_solve_jacobian_system_zero_rhs():
@@ -272,6 +303,7 @@ def test_verification_failure_names_its_phase_and_window(monkeypatch):
     with pytest.raises(NewtonDivergenceError, match="verification") as info:
         verify_residual(p, g, X, opts)
     assert info.value.subinterval == 1
+    assert info.value.phase == "verification"
     assert "fine window 1" in str(info.value)
     assert info.value.residual is not None
 
@@ -284,6 +316,7 @@ def test_verification_failure_names_its_phase_and_window(monkeypatch):
     with pytest.raises(SingularStepError, match="verification") as info:
         verify_residual(p, g, X, ParaoptOptions())
     assert info.value.subinterval == 2
+    assert info.value.phase == "verification"
 
 
 def test_zero_adjoint_guess_option_linear():
@@ -381,9 +414,11 @@ def test_reference_solve_lotka_volterra_long_horizon_converges():
 
 def test_reference_solve_reports_newton_failure():
     p = make_lotka_volterra()
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NoConvergenceError) as info:
         reference_solve(p, make_grid(1.0 / 3.0, 4, 100, 10),
                         ParaoptOptions(local_max_newton=1))
+    assert isinstance(info.value.__cause__, NewtonDivergenceError)
+    assert info.value.__cause__.phase == "reference"
 
 
 def test_coarse_failure_names_its_window(monkeypatch):
@@ -398,6 +433,7 @@ def test_coarse_failure_names_its_window(monkeypatch):
         paraopt_solve(p, make_grid(1.0 / 3.0, 3, 40, 4),
                       ParaoptOptions(workers=1))
     assert info.value.subinterval == 2
+    assert info.value.phase == "coarse"
 
 
 @pytest.mark.parametrize("attr", ["fine_propagate", "coarse_linearize"])
@@ -415,6 +451,8 @@ def test_singular_step_names_its_window(monkeypatch, attr):
         paraopt_solve(p, make_grid(1.0 / 3.0, 3, 40, 4),
                       ParaoptOptions(workers=2))
     assert info.value.subinterval == 2
+    assert info.value.phase == {"fine_propagate": "fine",
+                                "coarse_linearize": "coarse"}[attr]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
