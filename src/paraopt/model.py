@@ -22,9 +22,7 @@ threads.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,23 +102,6 @@ class ControlProblem:
     def is_linear(self) -> bool:
         """True when the dynamics are ``f(y) = linear_matrix @ y``."""
         return self.linear_matrix is not None
-
-    @cached_property
-    def dynamics_key(self) -> bytes:
-        """SHA-256 digest of a linear problem's dynamics (A, B, alpha).
-
-        Linear problems whose A, B and alpha are equal bytewise have equal
-        keys, whatever their endpoint data, so they can share window
-        operators.  Computed on first use, once per problem.
-        """
-        if not self.is_linear:
-            raise InvalidParameterError("only a linear problem has a "
-                                        "dynamics key")
-        h = hashlib.sha256(np.float64(self.alpha).tobytes())
-        h.update(self.linear_matrix.tobytes())
-        if self.control_operator is not None:
-            h.update(self.control_operator.tobytes())
-        return h.digest()
 
     def bbt(self) -> Array:
         """The matrix B B^T coupling the adjoint into the state equation."""

@@ -21,9 +21,9 @@ control picks up an extra solve with the step matrix):
   so the window maps are Q = (S^T)^m Lam_plus and
   P = S^m Y - (1/alpha) G Lam_plus with G = tau * sum_p S^p B B^T (S^T)^p.
   These maps and the derivative blocks made of them are built once per
-  dynamics and step: a bounded cache keys them on
-  (``ControlProblem.dynamics_key``, tau, steps), so every window, and every
-  problem with the same A, B and alpha, shares one read-only set.
+  dynamics and step: a bounded cache keys them on (a digest of A, B and
+  alpha, tau, steps), so every window, and every problem with the same A, B
+  and alpha, shares one read-only set.
 * nonlinear problems:
       y_{j+1} = y_j + tau * (f(y_{j+1}) - B B^T lam_{j+1} / alpha),
       (I - tau * f'(y_j)^T) lam_j = lam_{j+1},
@@ -52,7 +52,9 @@ concurrently on distinct sub-intervals.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import threading
+import weakref
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
@@ -124,12 +126,26 @@ class LocalTrajectory:
 # linear window operators
 # ---------------------------------------------------------------------------
 
+def _dynamics_digest(problem: ControlProblem) -> bytes:
+    """SHA-256 digest of the fields of ``problem`` that _LinearOps reads.
+
+    Linear problems whose A, B and alpha are equal bytewise have equal
+    digests, whatever their endpoint data, so they share window operators.
+    """
+    h = hashlib.sha256(np.float64(problem.alpha).tobytes())
+    h.update(problem.linear_matrix.tobytes())
+    if problem.control_operator is not None:
+        h.update(problem.control_operator.tobytes())
+    return h.digest()
+
+
 class _LinearOps:
     """Window maps of the linear scheme for one (dynamics, tau, steps).
 
-    ``blocks`` are the derivative blocks (P_y, P_lam, Q_y, Q_lam) of every
-    window these maps serve, built once: read-only arrays that all the
-    windows share.
+    Reads A, B (through ``bbt``) and alpha of ``problem`` and nothing else:
+    :func:`_dynamics_digest` must hash whatever it reads.  ``blocks`` are
+    the derivative blocks (P_y, P_lam, Q_y, Q_lam) of every window these
+    maps serve, built once: read-only arrays that all the windows share.
     """
 
     def __init__(self, problem: ControlProblem, tau: float, steps: int):
@@ -195,22 +211,26 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _OperatorCache:
     """Bounded LRU cache of :class:`_LinearOps`, called like its constructor.
 
-    Keyed on the dynamics (``problem.dynamics_key``) and (tau, steps), so
-    problems that differ only in their endpoint data share one operator set.
-    A miss is built under the lock: concurrent windows wait for one build
-    instead of making their own.
+    Keyed on the dynamics (:func:`_dynamics_digest`, computed once per
+    problem) and (tau, steps), so problems that differ only in their
+    endpoint data share one operator set.  A miss is built under the lock:
+    concurrent windows wait for one build instead of making their own.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._entries: OrderedDict = OrderedDict()
+        self._digests = weakref.WeakKeyDictionary()    # problem -> digest
         self._lock = threading.Lock()
         self._hits = self._misses = 0
 
     def __call__(self, problem: ControlProblem, tau: float,
                  steps: int) -> _LinearOps:
-        key = (problem.dynamics_key, tau, steps)
         with self._lock:
+            digest = self._digests.get(problem)
+            if digest is None:
+                digest = self._digests[problem] = _dynamics_digest(problem)
+            key = (digest, tau, steps)
             ops = self._entries.get(key)
             if ops is not None:
                 self._hits += 1

@@ -369,30 +369,31 @@ def reference_solve(problem: ControlProblem, grid: TimeGrid,
     the one-window grid with the direct inner solve (the system has only 3n
     rows), whose exact derivative blocks converge in one step, and are
     restricted with the closed-form window maps.  Raises
-    :class:`NoConvergenceError` when the solve fails.
+    :class:`NoConvergenceError` when the solve fails; a window or step
+    failure (its cause, or a :class:`SingularStepError` raised as it is)
+    carries the phase "reference".
     """
     options = options or ParaoptOptions()
     single = grid.with_single_subinterval()
     L, N = grid.num_subintervals, grid.fine_steps
-    if not problem.is_linear:
-        try:
+    try:
+        if not problem.is_linear:
             y, lam, _ = _solve_window_nonlinear(
                 problem, problem.y_init, None, single.fine_step,
                 single.fine_steps, options.local_tol,
                 options.local_max_newton, context="reference")
-        except SingularStepError as exc:
-            exc.phase = "reference"
-            raise
-        except NewtonDivergenceError as exc:
-            exc.phase = "reference"
-            raise NoConvergenceError(
-                f"reference solve diverged: {exc}") from exc
-        idx = np.arange(L + 1) * N
-        return InterfaceVector(y[idx], lam[idx[1:]])
-    # an inexact GMRES solve would leave |F| at inner_tol * |F(X^0)| and
-    # cost a second outer step
-    report = paraopt_solve(problem, single,
-                           replace(options, inner_solver=INNER_DIRECT))
+            idx = np.arange(L + 1) * N
+            return InterfaceVector(y[idx], lam[idx[1:]])
+        # an inexact GMRES solve would leave |F| at inner_tol * |F(X^0)| and
+        # cost a second outer step
+        report = paraopt_solve(problem, single,
+                               replace(options, inner_solver=INNER_DIRECT))
+    except SingularStepError as exc:
+        exc.phase = "reference"
+        raise
+    except NewtonDivergenceError as exc:
+        exc.phase = "reference"
+        raise NoConvergenceError(f"reference solve diverged: {exc}") from exc
     if not report.converged:
         raise NoConvergenceError("reference solve did not converge",
                                  report=report)

@@ -421,6 +421,24 @@ def test_reference_solve_reports_newton_failure():
     assert info.value.__cause__.phase == "reference"
 
 
+@pytest.mark.parametrize("error", [SingularStepError, NewtonDivergenceError])
+def test_linear_reference_failure_names_its_phase(monkeypatch, error):
+    # the linear reference runs paraopt_solve on one window, whose own
+    # handler names the phase "fine" first
+    def failing(*args, **kwargs):
+        raise error("window failed")
+
+    monkeypatch.setattr(solver, "fine_propagate", failing)
+    p = make_heat_1d(n=8)
+    expected = (SingularStepError if error is SingularStepError
+                else NoConvergenceError)
+    with pytest.raises(expected) as info:
+        reference_solve(p, make_grid(1e-2, 3, 10, 2))
+    exc = info.value if error is SingularStepError else info.value.__cause__
+    assert isinstance(exc, error)
+    assert exc.phase == "reference"
+
+
 def test_coarse_failure_names_its_window(monkeypatch):
     def failing(problem, grid, ell, *args):
         if ell == 2:
