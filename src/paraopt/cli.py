@@ -7,7 +7,8 @@ Exit codes:
     3  golden-check failure
     4  unknown configuration key
     5  conflicting configuration values
-    6  invalid parameter value (rejected by the model constructors)
+    6  invalid parameter value (rejected by the model constructors), or
+       another solver error: a singular step matrix or coarse Jacobian
 
 Configuration values come from an optional flat ``key=value`` file
 (``--config=FILE``) overridden by command-line flags.  Numeric output uses

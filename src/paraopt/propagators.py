@@ -146,6 +146,9 @@ class _LinearOps:
     :func:`_dynamics_digest` must hash whatever it reads.  ``blocks`` are
     the derivative blocks (P_y, P_lam, Q_y, Q_lam) of every window these
     maps serve, built once: read-only arrays that all the windows share.
+    Q_y is identically zero, since Q = (S^T)^m Lam_plus does not depend on
+    Y; the interface operator (``solver._jacobian_matvec``) relies on that
+    and skips it.
     """
 
     def __init__(self, problem: ControlProblem, tau: float, steps: int):

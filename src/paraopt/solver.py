@@ -26,7 +26,8 @@ import numpy as np
 
 from ._parallel import parallel_map, resolve_workers
 from .errors import (InvalidParameterError, NewtonDivergenceError,
-                     NoConvergenceError, SingularStepError)
+                     NoConvergenceError, SingularMatrixError,
+                     SingularStepError)
 from .model import ControlProblem, InterfaceVector, TimeGrid
 from .propagators import (_linear_ops, _solve_window_nonlinear,
                           coarse_linearize, fine_propagate,
@@ -161,27 +162,52 @@ def _jacobian_matvec(linearizations, variant, workers):
     """The coarse interface Jacobian J^G as an operator on (2L+1)n rows.
 
     Built from the cached window derivative blocks; applied to the identity
-    it yields the assembled matrix.
+    it yields the assembled matrix.  The operator takes a vector or a matrix
+    of k columns and applies each kind of block to all windows at once:
+
+    * linear problems share one read-only block set over all windows
+      (``_LinearOps.blocks``), whose Q_y is zero.  The (Y_{l-1}, Lam_l)
+      pairs of all windows and columns form one (2n, L*k) panel, and the
+      Lam_{l+1} one (n, (L-1)*k) panel, so J^G takes one GEMM with
+      [P_y P_lam] and one with Q_lam;
+    * otherwise each window has its own blocks, stacked once into (L, n, n)
+      arrays: one stacked ``np.matmul`` per block kind, each window's product
+      bitwise equal to that block times that window's slice.
     """
     L = len(linearizations)
     problem = linearizations[0].problem
     n = problem.dim
     gn = variant == VARIANT_GAUSS_NEWTON
     blocks = parallel_map(lambda lin: lin.blocks(gn), linearizations, workers)
+    if problem.is_linear:
+        Py, Pl, _, Ql = blocks[0]
+        P = np.hstack((Py, Pl))
+    else:
+        Py, Pl, Qy, Ql = (np.stack(kind) for kind in zip(*blocks))
+        Qy, Ql = Qy[1:], Ql[1:]          # window 1's Q enters no row
+
+    def panel_product(M, *parts):
+        # M times every window's slice of the parts, each (m, rows, k), as
+        # one GEMM on the panel whose column l*k + c stacks their [l, :, c]
+        m, _, k = parts[0].shape
+        panel = np.concatenate([p.transpose(1, 0, 2) for p in parts])
+        z = M @ panel.reshape(len(panel), m * k)
+        return z.reshape(M.shape[0], m, k).transpose(1, 0, 2)
 
     def matvec(v):
-        # v is a vector or a matrix of columns; J^G acts on its leading axis
-        w = v.reshape((2 * L + 1, n) + v.shape[1:])
-        dY, dLam = w[:L + 1], w[L + 1:]
+        # rows of w: Y_0..Y_L, then Lam_1..Lam_L; one trailing column axis
+        w = v.reshape(2 * L + 1, n, -1)
         out = np.empty_like(w)
-        out[0] = dY[0]
-        for ell in range(1, L + 1):
-            Py, Pl, _, _ = blocks[ell - 1]
-            out[ell] = dY[ell] - Py @ dY[ell - 1] - Pl @ dLam[ell - 1]
-        for ell in range(1, L):
-            _, _, Qy, Ql = blocks[ell]
-            out[L + ell] = dLam[ell - 1] - Qy @ dY[ell] - Ql @ dLam[ell]
-        out[2 * L] = dLam[L - 1] - dY[L]
+        out[0] = w[0]
+        # Y_l - P_y Y_{l-1} - P_lam Lam_l                      l = 1..L
+        # Lam_l - Q_y Y_l - Q_lam Lam_{l+1}                    l = 1..L-1
+        if problem.is_linear:
+            out[1:L + 1] = w[1:L + 1] - panel_product(P, w[:L], w[L + 1:])
+            out[L + 1:2 * L] = w[L + 1:2 * L] - panel_product(Ql, w[L + 2:])
+        else:
+            out[1:L + 1] = w[1:L + 1] - Py @ w[:L] - Pl @ w[L + 1:]
+            out[L + 1:2 * L] = w[L + 1:2 * L] - Qy @ w[1:L] - Ql @ w[L + 2:]
+        out[2 * L] = w[2 * L] - w[L]
         return out.reshape(v.shape)
 
     return matvec
@@ -191,11 +217,15 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
           max_iters: int):
     """Full (unrestarted, unpreconditioned) GMRES from the zero iterate.
 
-    Arnoldi with modified Gram-Schmidt and Givens rotations; stops when the
-    relative residual drops below ``tol``.  Memory follows the iterations
-    taken, not ``max_iters``: the Krylov basis doubles when full, and the
-    Hessenberg columns are kept as lists of Python floats, on which the
-    rotations run.  Returns (x, iterations, relative residual, converged).
+    Arnoldi with two passes of classical Gram-Schmidt per step, each two
+    matrix-vector products with the basis block; the second pass removes
+    what rounding left of the first, which keeps the basis orthogonal to
+    working precision ("twice is enough").  Givens rotations update the
+    residual; the iteration stops when the relative residual drops below
+    ``tol``.  Memory follows the iterations taken, not ``max_iters``: the
+    Krylov basis doubles when full, and the Hessenberg columns are kept as
+    lists of Python floats, on which the rotations run.  Returns (x,
+    iterations, relative residual, converged).
     """
     b = np.asarray(b, dtype=float)
     beta = float(np.linalg.norm(b))
@@ -210,12 +240,13 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
     g = [beta]
     relres = 1.0
     for j in range(max_iters):
+        basis = V[:j + 1]
         w = matvec(V[j])
-        h = [float(V[0] @ w)]
-        w = w - h[0] * V[0]     # a new array, whatever matvec returned
-        for i in range(1, j + 1):
-            h.append(float(V[i] @ w))
-            w -= h[i] * V[i]
+        c1 = basis @ w
+        w = w - c1 @ basis      # a new array, whatever matvec returned
+        c2 = basis @ w
+        w -= c2 @ basis
+        h = (c1 + c2).tolist()
         h_next = float(np.linalg.norm(w))
         for i in range(j):
             h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
@@ -246,15 +277,25 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
 
 def solve_jacobian_system(linearizations: list, rhs: Array,
                           options: ParaoptOptions, workers: int = 1):
-    """Solve J^G dX = rhs by full GMRES or by assembled dense LU."""
+    """Solve J^G dX = rhs by full GMRES or by assembled dense LU.
+
+    Raises :class:`SingularMatrixError` when J^G is singular: the LU meets a
+    zero pivot, or GMRES breaks down with a zero on the diagonal of its
+    triangular factor.
+    """
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise InvalidParameterError("right-hand side must be finite")
     matvec = _jacobian_matvec(linearizations, options.variant, workers)
-    if options.inner_solver == INNER_DIRECT:
-        J = matvec(np.eye(rhs.size))
-        return np.linalg.solve(J, rhs), InnerStats(0, True)
-    dX, iters, _, ok = gmres(matvec, rhs, options.inner_tol, rhs.size)
+    try:
+        if options.inner_solver == INNER_DIRECT:
+            J = matvec(np.eye(rhs.size))
+            return np.linalg.solve(J, rhs), InnerStats(0, True)
+        dX, iters, _, ok = gmres(matvec, rhs, options.inner_tol, rhs.size)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            f"coarse interface Jacobian is singular ({options.inner_solver} "
+            f"inner solve): {exc}") from exc
     return dX, InnerStats(iters, ok)
 
 

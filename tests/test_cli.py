@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from paraopt import experiments as ex
+from paraopt import propagators
 from paraopt.cli import (EXIT_CONFLICT, EXIT_GOLDEN, EXIT_INVALID,
                          EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_UNKNOWN_KEY,
                          EXIT_USAGE, CliError, main, parse_config)
@@ -113,6 +115,19 @@ def test_lv_long_horizon_single_window_exit_1(tmp_path):
     rc = run(tmp_path, "lv", "--T=1", "--L=1", "--r=1",
              "--fine-total=12000", "--no-reference")
     assert rc == EXIT_NO_CONVERGENCE
+
+
+def test_singular_coarse_jacobian_exit_6(tmp_path, monkeypatch, capsys):
+    # P_lam = 1 makes the one-window J^G singular (see test_solver)
+    def singular_blocks(self, gauss_newton=False):
+        return tuple(np.array([[b]]) for b in (0.5, 1.0, 0.0, 0.7))
+
+    monkeypatch.setattr(propagators.CoarseLinearization, "blocks",
+                        singular_blocks)
+    rc = run(tmp_path, "solve", "--preset=dahlquist", "--L=1",
+             "--inner=assembled_direct")
+    assert rc == EXIT_INVALID
+    assert "Jacobian is singular" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(tmp_path):

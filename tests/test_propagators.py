@@ -210,7 +210,13 @@ def test_linear_blocks_are_shared_and_read_only():
     for block in first:
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
+    # Q_y is zero because Q = (S^T)^m Lam_plus does not read Y; the
+    # interface operator skips it
     assert not np.any(first[2])
+    Lam = np.linspace(-1.0, 2.0, 12)
+    Qs = [fine_propagate(p, g, 2, Y, Lam)[1]
+          for Y in (p.y_init, np.ones(12), -3.0 * p.y_init)]
+    assert all(np.array_equal(Q, Qs[0]) for Q in Qs)
 
 
 def _heat_like(p, **changes):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from paraopt import (InterfaceVector, InvalidParameterError,
                      NewtonDivergenceError, NoConvergenceError, ParaoptOptions,
-                     SingularStepError, coarse_linearize,
+                     SingularMatrixError, SingularStepError, coarse_linearize,
                      default_initial_guess, fine_propagate, make_dahlquist,
                      make_grid, make_heat_1d, make_lotka_volterra,
                      paraopt_solve, reference_solve, residual,
                      solve_jacobian_system)
 from paraopt import linear_analysis as la
-from paraopt import solver
+from paraopt import propagators, solver
 from paraopt.propagators import window_recurrence_residual
 from paraopt.solver import _jacobian_matvec, gmres, verify_residual
 
@@ -114,6 +114,101 @@ def test_apply_jacobian_assembles_to_coarse_interface_matrix():
         assert np.array_equal(J[:, j], apply_jacobian(lins, col))
 
 
+def dense_jacobian(blocks):
+    """J^G assembled from the window blocks, one block at a time."""
+    L = len(blocks)
+    n = blocks[0][0].shape[0]
+    J = np.eye((2 * L + 1) * n)
+
+    def at(i, j):
+        return slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
+
+    for ell in range(1, L + 1):
+        Py, Pl, Qy, Ql = blocks[ell - 1]
+        J[at(ell, ell - 1)] = -Py            # row Y_ell
+        J[at(ell, L + ell)] = -Pl
+        if ell >= 2:                          # row Lam_{ell-1}
+            J[at(L + ell - 1, ell - 1)] = -Qy
+            J[at(L + ell - 1, L + ell)] = -Ql
+    J[at(2 * L, L)] = -np.eye(n)              # row Lam_L
+    return J
+
+
+def loop_matvec(blocks, v):
+    """J^G applied window by window, one block product at a time."""
+    L = len(blocks)
+    n = blocks[0][0].shape[0]
+    w = v.reshape((2 * L + 1, n) + v.shape[1:])
+    dY, dLam = w[:L + 1], w[L + 1:]
+    out = np.empty_like(w)
+    out[0] = dY[0]
+    for ell in range(1, L + 1):
+        Py, Pl, _, _ = blocks[ell - 1]
+        out[ell] = dY[ell] - Py @ dY[ell - 1] - Pl @ dLam[ell - 1]
+    for ell in range(1, L):
+        _, _, Qy, Ql = blocks[ell]
+        out[L + ell] = dLam[ell - 1] - Qy @ dY[ell] - Ql @ dLam[ell]
+    out[2 * L] = dLam[L - 1] - dY[L]
+    return out.reshape(v.shape)
+
+
+def matvec_inputs(D, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(D), rng.standard_normal((D, 1)),
+            rng.standard_normal((D, 7)), np.eye(D)]
+
+
+@pytest.mark.parametrize("L", [1, 4])
+def test_linear_matvec_matches_dense_jacobian(L):
+    # shared blocks: one GEMM per block kind over all windows and columns
+    p = make_heat_1d(n=20)
+    g = make_grid(1e-2, L, 40, 8)
+    lins = make_linearizations(p, g, default_initial_guess(p, g))
+    J = dense_jacobian([lin.blocks() for lin in lins])
+    for variant in ("newton", "gauss_newton"):
+        for v in matvec_inputs(J.shape[0], L):
+            got, want = apply_jacobian(lins, v, variant), J @ v
+            assert got.shape == v.shape
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("L", [1, 4])
+def test_nonlinear_matvec_is_the_window_loop(L):
+    # per-window blocks: the stacked products are bitwise the loop's
+    p = make_lotka_volterra()
+    g = make_grid(1.0 / 3.0, L, 60, 6)
+    rng = np.random.default_rng(L)
+    X = default_initial_guess(p, g)
+    X = InterfaceVector(X.states + rng.standard_normal(X.states.shape),
+                        X.adjoints)
+    lins = make_linearizations(p, g, X)
+    for variant in ("newton", "gauss_newton"):
+        blocks = [lin.blocks(variant == "gauss_newton") for lin in lins]
+        J = dense_jacobian(blocks)
+        for v in matvec_inputs(J.shape[0], L):
+            got = apply_jacobian(lins, v, variant)
+            assert got.shape == v.shape
+            assert np.array_equal(got, loop_matvec(blocks, v))
+            assert np.allclose(got, J @ v, rtol=1e-13, atol=1e-13)
+
+
+def test_singular_jacobian_raises_singular_matrix_error(monkeypatch):
+    # with L = 1 and scalar blocks J^G = [[1, 0, 0], [-P_y, 1, -P_lam],
+    # [0, -1, 1]], whose determinant is 1 - P_lam
+    def singular_blocks(self, gauss_newton=False):
+        return tuple(np.array([[b]]) for b in (0.5, 1.0, 0.0, 0.7))
+
+    monkeypatch.setattr(propagators.CoarseLinearization, "blocks",
+                        singular_blocks)
+    p, g = dahlquist_setup(L=1, T=1.0, fine=4, coarse=2)
+    lins = make_linearizations(p, g, default_initial_guess(p, g))
+    assert np.linalg.matrix_rank(apply_jacobian(lins, np.eye(3))) == 2
+    for inner in ("krylov", "assembled_direct"):
+        with pytest.raises(SingularMatrixError, match=inner):
+            solve_jacobian_system(lins, np.array([1.0, 0.0, 0.0]),
+                                  ParaoptOptions(inner_solver=inner))
+
+
 # -- inner solves ------------------------------------------------------------
 
 def test_gmres_solves_small_system():
@@ -153,6 +248,21 @@ def test_gmres_relative_residual_is_the_true_one(max_iters):
     true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert iters <= max_iters and ok == (relres <= 1e-10)
     assert ok == (max_iters == 60)
+    assert abs(relres - true) <= 1e-6 * true
+
+
+def test_gmres_relative_residual_on_a_heat_jacobian():
+    # a coarse interface system of the heat runs that takes over 100 Arnoldi
+    # steps: lost orthogonality of the basis would show as a reported
+    # residual drifting from the true one
+    p = make_heat_1d(n=20)
+    g = make_grid(1e-2, 10, 1000, 100)
+    lins = make_linearizations(p, g, default_initial_guess(p, g))
+    matvec = _jacobian_matvec(lins, "newton", 1)
+    b = np.random.default_rng(3).standard_normal(21 * 20)
+    x, iters, relres, ok = gmres(matvec, b, 1e-9, b.size)
+    true = np.linalg.norm(b - matvec(x)) / np.linalg.norm(b)
+    assert ok and iters >= 100
     assert abs(relres - true) <= 1e-6 * true
 
 
