@@ -9,7 +9,10 @@ the left (y(T_l) = Y), the adjoint on the right (lam(T_{l+1}) = Lam_plus).
 ``coarse_linearize`` does the same on the coarse step and keeps the local
 solution; ``CoarseLinearization.blocks`` assembles from it the four
 derivative blocks dP/dY, dP/dLam, dQ/dY, dQ/dLam of the coarse propagator
-pair (by solving the linearized problem about the stored trajectory).
+pair (by solving the linearized problem about the stored trajectory);
+``CoarseLinearization.tangent`` gives the first-order change of the whole
+coarse trajectory from the same solve, and ``CoarseLinearization.predict``
+the trajectory itself, both interpolated onto a finer grid.
 
 Discretization (implicit Euler both directions, one function of this module
 per branch; the linear branch follows the discretely-optimal form whose
@@ -31,15 +34,19 @@ control picks up an extra solve with the step matrix):
   analytic block-banded Jacobian of scalar bandwidths (2n, 2n): only the
   -I couplings of an equation to the previous state and the next adjoint
   reach 2n off the diagonal.  It is written into LAPACK band storage entry
-  by entry, one write over all slots per entry.  A cold solve starts from
-  constant states Y and adjoints Lam_plus.
-  ``fine_propagate(..., start=traj)`` instead starts from an earlier
-  trajectory of the same window (the outer iteration passes the previous
-  iterate's) with the new boundary values written in, and always takes at
-  least one Newton step: a start that already meets the tolerance would
+  by entry, in chunks of about 2k slots that stay in cache: one write over
+  a chunk's slots per entry.  A cold solve starts from constant states Y
+  and adjoints Lam_plus.
+  ``fine_propagate(..., start=traj)`` instead starts from a trajectory of
+  the same grid with the new boundary values written in, and always takes
+  at least one Newton step: a start that already meets the tolerance would
   otherwise keep its old P and Q, ignoring the new Y and Lam_plus, which
-  stalls the outer iteration near the tolerance.  Linear windows are
-  closed-form and ignore ``start``.
+  stalls the outer iteration near the tolerance.  The outer iteration
+  passes predicted starts: the coarse trajectory interpolated onto the
+  fine nodes on its first residual, afterwards the previous fine
+  trajectory plus the coarse tangent of the outer step
+  (``CoarseLinearization.tangent``).  Linear windows are closed-form and
+  ignore ``start``.
   A window solve allocates its band matrix once and refills it on every
   Newton step.  The banded LU is LAPACK ``dgbsv``, called through the
   function pointer scipy exports for Cython and ctypes, which releases the
@@ -79,7 +86,9 @@ class LocalTrajectory:
     ``states``/``adjoints`` have shape (steps+1, n) and satisfy the window's
     discrete recurrences to the solver tolerance.  For linear problems the
     arrays are built on first access by running the recurrences; endpoint
-    values are available without materializing.
+    values are available without materializing.  A window start predicted
+    by the outer iteration is built on first access too, and need not
+    satisfy the recurrences.
     """
 
     def __init__(self, tau: float, steps: int, *, states: Optional[Array] = None,
@@ -305,6 +314,12 @@ def _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha):
     return R1, R2
 
 
+# slots per assembly chunk: at n = 2 a chunk's band columns (0.85 MB) and its
+# f' and K stay in L2 while every entry is written; on a Xeon with 4 MiB of
+# L2 per core, 2048 beat chunks of 256 to 4096 slots at 100k slots
+_ASSEMBLY_CHUNK = 2048
+
+
 def _band_workspace(n: int, m: int) -> Array:
     """Uninitialized LAPACK gbsv storage for an m-slot window's Jacobian."""
     return np.empty((3 * _bandwidth(n) + 1, 2 * n * m), order="F")
@@ -315,33 +330,43 @@ def _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
     """Write the window Jacobian into ``ab`` (from :func:`_band_workspace`).
 
     Every entry is overwritten, so a workspace that an earlier factorization
-    left holding LU factors can be refilled.  Returns ``ab``.
+    left holding LU factors can be refilled.  The slots are filled in chunks
+    of ``_ASSEMBLY_CHUNK``: each chunk's columns are zeroed, its f' and K
+    evaluated and all its entries written while they are in cache.  Returns
+    ``ab``.
     """
     n = problem.dim
     m = len(y) - 1
     w = 2 * n                  # columns per slot, and the bandwidth
-    ab.fill(0.0)
     # V[r, c, s] = ab[r, w*s + c]: slot s's column c; A[i, j] sits in row
-    # r = 2w + i - j, so each Jacobian entry is one write over the slots
+    # r = 2w + i - j, so each Jacobian entry is one write over a chunk's slots
     V = ab.reshape((ab.shape[0], w, m), order="F")
-    jac = problem.jacobian_many(y)
-    K = None if gauss_newton else problem.hess_coupling_many(y[:-1], lam[:-1])
-    for a in range(n):
-        # -I of R2_t on lam_{t+1} and of R1_t on y_t (slot t-1's state)
-        V[w, a, 1:] = -1.0
-        V[3 * w, n + a, :-1] = -1.0
-        for b in range(n):
-            delta = 1.0 if a == b else 0.0
-            r = 2 * w + a - b
-            # R2_t = lam_t - tau f'(y_t)^T lam_t - lam_{t+1}; its Newton
-            # term -tau K_t acts on y_t
-            V[r, b, :] = delta - tau * jac[:-1, b, a]
-            if K is not None:
-                V[r + n, n + b, :-1] = -tau * K[1:, a, b]
-            # R1_t = y_{t+1} - y_t - tau f(y_{t+1})
-            #        + tau BB^T lam_{t+1} / alpha
-            V[r, n + b, :] = delta - tau * jac[1:, a, b]
-            V[r - n, b, 1:] = tau * bbt_over_alpha[a, b]
+    for s0 in range(0, m, _ASSEMBLY_CHUNK):
+        s1 = min(s0 + _ASSEMBLY_CHUNK, m)
+        ab[:, w * s0:w * s1] = 0.0
+        Vc = V[:, :, s0:s1]
+        first = 1 if s0 == 0 else 0       # slot 0 has no y_t and lam_t terms
+        last = min(s1, m - 1) - s0        # slot m-1 has no lam_{t+1} terms
+        jac = problem.jacobian_many(y[s0:s1 + 1])
+        # slot t reads K_{t+1}
+        K = None if gauss_newton or last <= 0 else problem.hess_coupling_many(
+            y[s0 + 1:s0 + 1 + last], lam[s0 + 1:s0 + 1 + last])
+        for a in range(n):
+            # -I of R2_t on lam_{t+1} and of R1_t on y_t (slot t-1's state)
+            Vc[w, a, first:] = -1.0
+            Vc[3 * w, n + a, :last] = -1.0
+            for b in range(n):
+                delta = 1.0 if a == b else 0.0
+                r = 2 * w + a - b
+                # R2_t = lam_t - tau f'(y_t)^T lam_t - lam_{t+1}; its Newton
+                # term -tau K_t acts on y_t
+                Vc[r, b, :] = delta - tau * jac[:-1, b, a]
+                if K is not None:
+                    Vc[r + n, n + b, :last] = -tau * K[:, a, b]
+                # R1_t = y_{t+1} - y_t - tau f(y_{t+1})
+                #        + tau BB^T lam_{t+1} / alpha
+                Vc[r, n + b, :] = delta - tau * jac[1:, a, b]
+                Vc[r - n, b, first:] = tau * bbt_over_alpha[a, b]
     if terminal:
         # lam_m = y_m - y_target puts y_m (the last slot's state column) into
         # R2_{m-1} with -I and into R1_{m-1} with tau*BB^T/alpha
@@ -526,13 +551,33 @@ def fine_propagate(problem: ControlProblem, grid: TimeGrid, ell: int,
                    start: Optional[LocalTrajectory] = None):
     """Solve window ``ell`` on the fine step; returns (P, Q, trajectory).
 
-    ``start`` is an earlier fine trajectory of the same window (the previous
-    outer iterate's); a nonlinear window's Newton iteration starts from it
-    and takes at least one step.  Linear windows are closed-form and ignore
-    it.
+    ``start`` is a trajectory on the window's fine grid (the outer iteration
+    passes a predicted one, see the module docstring); a nonlinear window's
+    Newton iteration starts from it and takes at least one step.  Linear
+    windows are closed-form and ignore it.
     """
     return _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton,
                       coarse=False, start=start)
+
+
+def _interpolate_nodes(values: Array, steps: int) -> Array:
+    """Values on m+1 uniform nodes, linearly interpolated onto steps+1.
+
+    Both node sets span the same window; ``steps`` need not be a multiple of
+    m.  Nodes that coincide get the values exactly.
+    """
+    m = len(values) - 1
+    s = np.arange(steps + 1) * m / steps     # positions in coarse steps
+    k = np.minimum(s.astype(np.intp), m - 1)
+    w = (s - k)[:, None]
+    return (1.0 - w) * values[k] + w * values[k + 1]
+
+
+# a window keeps its sensitivity solve from blocks() to tangent() only up to
+# this size (8192 coarse slots at n = 2), so L windows hold at most L MiB
+# while the outer step is solved; a larger one is solved again in tangent(),
+# with the same result
+_KEPT_SENSITIVITY_BYTES = 1 << 20
 
 
 @dataclass
@@ -544,13 +589,16 @@ class CoarseLinearization:
     subinterval_index: int
     trajectory: LocalTrajectory
     _blocks: dict = field(default_factory=dict, repr=False)
+    # variant -> :meth:`_sensitivity_solve`'s result, from :meth:`blocks`
+    # until :meth:`tangent` uses it (small ones only)
+    _sensitivities: dict = field(default_factory=dict, repr=False)
 
     def blocks(self, gauss_newton: bool = False):
         """The four derivative matrices (P_y, P_lam, Q_y, Q_lam).
 
         Built once per variant: in closed form for linear problems, otherwise
-        by one banded factorization of the window's linearized system about
-        ``trajectory``, solved for the 2n unit boundary data (dY, then dLam).
+        from :meth:`_sensitivity_solve`, whose whole solution is kept until
+        :meth:`tangent` uses it if it fits in ``_KEPT_SENSITIVITY_BYTES``.
         With ``gauss_newton`` the second-derivative coupling of the adjoint
         equation is dropped.  A linear problem's blocks do not depend on the
         window or the variant: every window gets the same read-only arrays
@@ -563,36 +611,80 @@ class CoarseLinearization:
                 blocks = _linear_ops(self.problem, self.trajectory.tau,
                                      self.trajectory.steps).blocks
             else:
-                # one factorization, 2n right-hand sides (unit dY then dLam)
-                traj = self.trajectory
-                m = traj.steps
-                bbt_over_alpha = self.problem.bbt() / self.problem.alpha
-                ab = _assemble_banded(_band_workspace(n, m), self.problem,
-                                      traj.states, traj.adjoints, traj.tau,
-                                      bbt_over_alpha, key)
-                eye = np.eye(n)
-                rhs = np.zeros((2 * n * m, 2 * n))
-                for i in range(n):
-                    rhs[:, i] = _derivative_rhs(
-                        self.problem, traj, eye[i], np.zeros(n), key,
-                        bbt_over_alpha)
-                    rhs[:, n + i] = _derivative_rhs(
-                        self.problem, traj, np.zeros(n), eye[i], key,
-                        bbt_over_alpha)
-                try:
-                    du = _banded_solve(
-                        n, ab, rhs,
-                        context=f"window {self.subinterval_index} blocks")
-                except SingularStepError as exc:
-                    exc.subinterval = self.subinterval_index
-                    exc.phase = "blocks"
-                    raise
+                m = self.trajectory.steps
+                du = self._sensitivity_solve(key)
+                if du.nbytes <= _KEPT_SENSITIVITY_BYTES:
+                    self._sensitivities[key] = du
                 top = du[0:n]
                 bottom = du[(m - 1) * 2 * n + n: m * 2 * n]
                 blocks = (bottom[:, :n].copy(), bottom[:, n:].copy(),
                           top[:, :n].copy(), top[:, n:].copy())
             self._blocks[key] = blocks
         return self._blocks[key]
+
+    def _sensitivity_solve(self, gauss_newton: bool) -> Array:
+        """The (2n*m, 2n) solution of the linearized window system.
+
+        One banded factorization of the system about ``trajectory``, solved
+        for the 2n unit boundary data (dY, then dLam): column j holds every
+        slot's (dlam_t, dy_{t+1}) for direction j.  Nonlinear problems only.
+        """
+        n = self.problem.dim
+        traj = self.trajectory
+        m = traj.steps
+        bbt_over_alpha = self.problem.bbt() / self.problem.alpha
+        ab = _assemble_banded(_band_workspace(n, m), self.problem,
+                              traj.states, traj.adjoints, traj.tau,
+                              bbt_over_alpha, gauss_newton)
+        eye = np.eye(n)
+        rhs = np.zeros((2 * n * m, 2 * n))
+        for i in range(n):
+            rhs[:, i] = _derivative_rhs(
+                self.problem, traj, eye[i], np.zeros(n), gauss_newton,
+                bbt_over_alpha)
+            rhs[:, n + i] = _derivative_rhs(
+                self.problem, traj, np.zeros(n), eye[i], gauss_newton,
+                bbt_over_alpha)
+        try:
+            return _banded_solve(
+                n, ab, rhs, context=f"window {self.subinterval_index} blocks")
+        except SingularStepError as exc:
+            exc.subinterval = self.subinterval_index
+            exc.phase = "blocks"
+            raise
+
+    def tangent(self, dY: Array, dLam: Array, steps: int,
+                gauss_newton: bool = False):
+        """Coarse linearized change of the window's states and adjoints.
+
+        The change that boundary data (Y + dY, Lam_plus + dLam) makes to
+        ``trajectory`` to first order, interpolated linearly in normalized
+        time onto ``steps`` uniform steps.  Returns (dstates, dadjoints),
+        each (steps+1, n).  Uses and releases the sensitivities that
+        :meth:`blocks` kept for this variant, or solves for them again.
+        Nonlinear problems only.
+        """
+        key = bool(gauss_newton)
+        du = self._sensitivities.pop(key, None)
+        if du is None:
+            du = self._sensitivity_solve(key)
+        n = self.problem.dim
+        m = self.trajectory.steps
+        d = np.concatenate([np.asarray(dY, dtype=float).reshape(n),
+                            np.asarray(dLam, dtype=float).reshape(n)])
+        slots = (du @ d).reshape(m, 2 * n)
+        del du
+        dy = np.empty((m + 1, n))
+        dlam = np.empty((m + 1, n))
+        dy[0], dy[1:] = d[:n], slots[:, n:]
+        dlam[:-1], dlam[-1] = slots[:, :n], d[n:]
+        return _interpolate_nodes(dy, steps), _interpolate_nodes(dlam, steps)
+
+    def predict(self, steps: int):
+        """``trajectory`` interpolated linearly in normalized time onto
+        ``steps`` uniform steps; returns (states, adjoints)."""
+        return (_interpolate_nodes(self.trajectory.states, steps),
+                _interpolate_nodes(self.trajectory.adjoints, steps))
 
 
 def coarse_linearize(problem: ControlProblem, grid: TimeGrid, ell: int,

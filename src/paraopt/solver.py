@@ -10,10 +10,14 @@ The nonlinear residual enforces the matching conditions
 
 with P, Q the fine window propagators.  Each outer step solves
 J^G(X) dX = -F(X) where J^G carries the *coarse* derivative blocks of P and
-Q, then updates X += dX.  The L window solves of a residual evaluation and
-the L coarse linearizations are independent tasks run on a worker pool;
-assembly and norms happen in a fixed order, so results are identical for
-any worker count.
+Q, then updates X += dX.  The coarse propagator also predicts where the fine
+windows land: the first residual starts each nonlinear fine window from its
+coarse trajectory at X^0, and each later one from the previous fine
+trajectory plus the coarse tangent of dX, so the fine Newton iterations
+only correct.  The L window solves of a residual evaluation and the L
+coarse linearizations are independent tasks run on a worker pool; assembly
+and norms happen in a fixed order, so results are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .errors import (InvalidParameterError, NewtonDivergenceError,
                      NoConvergenceError, SingularMatrixError,
                      SingularStepError)
 from .model import ControlProblem, InterfaceVector, TimeGrid
-from .propagators import (_linear_ops, _solve_window_nonlinear,
-                          coarse_linearize, fine_propagate,
-                          window_recurrence_residual)
+from .propagators import (LocalTrajectory, _linear_ops,
+                          _solve_window_nonlinear, coarse_linearize,
+                          fine_propagate, window_recurrence_residual)
 
 Array = np.ndarray
 
@@ -71,6 +75,7 @@ class ParaoptOptions:
 class InnerStats:
     iterations: int
     converged: bool
+    relative_residual: float = 0.0
 
 
 @dataclass
@@ -82,7 +87,9 @@ class ConvergenceReport:
     residuals: Array                 # len iterations+1, starts at X^0
     errors: Optional[Array]          # vs reference, same length; None if absent
     inner_iterations: list           # per outer step
-    wall_times: Array                # seconds per history row
+    # seconds per history row: row 0 the first residual, row k outer step k
+    # (coarse linearizations, inner solve, residual)
+    wall_times: Array
     final: InterfaceVector
     message: str = ""
     # per history row: the Newton steps of the L fine windows, window order
@@ -129,14 +136,51 @@ def _window_task(solve, phase, problem, grid, X, tol, max_newton,
     return task
 
 
+def _fine_starts(problem, grid, lins, trajs=None, dX=None,
+                 gauss_newton=False):
+    """Predicted starts of the L fine windows; None for a linear problem.
+
+    Without ``trajs`` (the first residual), each window starts from its
+    coarse trajectory interpolated onto the fine nodes
+    (:meth:`CoarseLinearization.predict`).  Otherwise the outer step ``dX``
+    was taken from the iterate that both ``trajs`` and ``lins`` belong to,
+    and each window starts from its fine trajectory plus the coarse tangent
+    of its (dY, dLam) (:meth:`CoarseLinearization.tangent`), added in
+    place: the old trajectory is not read again.  The starts are built on
+    first access, inside each window's task.
+    """
+    if problem.is_linear:        # closed-form windows take no start
+        return None
+    steps = grid.fine_steps
+
+    def start(ell):
+        lin = lins[ell - 1]
+        if trajs is None:
+            def build():
+                return lin.predict(steps)
+        else:
+            def build():
+                old = trajs[ell - 1]
+                dy, dlam = lin.tangent(dX.states[ell - 1],
+                                       dX.adjoints[ell - 1], steps,
+                                       gauss_newton)
+                y, lam = old.states, old.adjoints
+                y += dy
+                lam += dlam
+                return y, lam
+        return LocalTrajectory(grid.fine_step, steps, builder=build)
+
+    return [start(ell) for ell in range(1, grid.num_subintervals + 1)]
+
+
 def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
              tol: float = 1e-12, max_newton: int = 50,
              workers: int = 1, starts: Optional[list] = None):
     """Matching-condition residual F(X) and the window trajectories.
 
-    ``starts`` holds the L fine trajectories of an earlier call on the same
-    grid; each window's Newton iteration starts from its own (see
-    :func:`fine_propagate`).
+    ``starts`` holds L trajectories on the fine grid, such as the predicted
+    ones of :func:`_fine_starts`; each window's Newton iteration starts from
+    its own (see :func:`fine_propagate`).
     """
     L = grid.num_subintervals
     n = problem.dim
@@ -291,12 +335,12 @@ def solve_jacobian_system(linearizations: list, rhs: Array,
         if options.inner_solver == INNER_DIRECT:
             J = matvec(np.eye(rhs.size))
             return np.linalg.solve(J, rhs), InnerStats(0, True)
-        dX, iters, _, ok = gmres(matvec, rhs, options.inner_tol, rhs.size)
+        dX, iters, relres, ok = gmres(matvec, rhs, options.inner_tol, rhs.size)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"coarse interface Jacobian is singular ({options.inner_solver} "
             f"inner solve): {exc}") from exc
-    return dX, InnerStats(iters, ok)
+    return dX, InnerStats(iters, ok, relres)
 
 
 def verify_residual(problem: ControlProblem, grid: TimeGrid,
@@ -332,10 +376,14 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     The iteration starts from ``x0``, or from the paper's
     :func:`default_initial_guess` when ``x0`` is None.  When ``reference``
     is given, the max-norm interface error against it is recorded per
-    iteration (the convergence-history metric of the experiments).  Each
-    residual evaluation after the first warm-starts the fine windows from
-    the trajectories of the previous one.  Returns a report; ``converged``
-    is False when the iteration limit or the divergence guard hits.  To
+    iteration (the convergence-history metric of the experiments).  The
+    coarse linearizations at X^0 run before the first residual and serve
+    both its fine-window starts and the first outer step; every residual's
+    nonlinear fine windows start from predicted trajectories (see
+    :func:`_fine_starts`).  Returns a report; ``converged`` is False when
+    the iteration limit or the divergence guard hits.  Raises
+    :class:`NoConvergenceError`, with the report so far attached, when a
+    GMRES inner solve ends above ``inner_tol``; its step is not taken.  To
     re-check the final residual with fresh windows, call
     :func:`verify_residual`.
     """
@@ -358,23 +406,60 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
         wall_times.append(seconds)
         newton_iterations.append(tuple(t.newton_iterations for t in trajs))
 
+    def report(converged):
+        return ConvergenceReport(
+            converged=converged,
+            iterations=len(residuals) - 1,
+            residuals=np.array(residuals),
+            errors=None if errors is None else np.array(errors),
+            inner_iterations=inner_iterations,
+            wall_times=np.array(wall_times),
+            final=X,
+            message=message,
+            newton_iterations=newton_iterations,
+        )
+
+    def linearize(X):
+        return parallel_map(
+            _window_task(coarse_linearize, "coarse", problem, grid, X,
+                         options.local_tol, options.local_max_newton),
+            range(1, L + 1), workers)
+
+    gauss_newton = options.variant == VARIANT_GAUSS_NEWTON
+    t0 = time.perf_counter()
+    lins = linearize(X)
+    # timed with the first outer step, like every later step's
+    linearize_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     F, trajs = residual(problem, grid, X, options.local_tol,
-                        options.local_max_newton, workers)
+                        options.local_max_newton, workers,
+                        starts=_fine_starts(problem, grid, lins))
     record(F, trajs, time.perf_counter() - t0)
 
     converged = residuals[0] <= options.outer_tol
     guard = DIVERGENCE_FACTOR * max(residuals[0], 1e-300)
     while not converged and len(residuals) <= options.max_outer:
         t0 = time.perf_counter()
-        lins = parallel_map(
-            _window_task(coarse_linearize, "coarse", problem, grid, X,
-                         options.local_tol, options.local_max_newton),
-            range(1, L + 1), workers)
+        if lins is None:
+            lins = linearize(X)
+        else:                  # the first step reuses those at X^0
+            t0 -= linearize_s
         dX, stats = solve_jacobian_system(lins, -F, options, workers)
+        if not stats.converged:
+            message = (
+                f"inner {options.inner_solver} solve of outer step "
+                f"{len(residuals)} did not converge: {stats.iterations} "
+                f"iterations, relative residual "
+                f"{stats.relative_residual:.3e} > inner_tol "
+                f"{options.inner_tol:.3e}")
+            raise NoConvergenceError(message, report=report(False))
+        step = InterfaceVector.from_stacked(dX, L, problem.dim)
         X = InterfaceVector.from_stacked(X.to_stacked() + dX, L, problem.dim)
-        F, trajs = residual(problem, grid, X, options.local_tol,
-                            options.local_max_newton, workers, starts=trajs)
+        F, trajs = residual(
+            problem, grid, X, options.local_tol, options.local_max_newton,
+            workers, starts=_fine_starts(problem, grid, lins, trajs, step,
+                                         gauss_newton))
+        lins = None            # free them before relinearizing
         inner_iterations.append(stats.iterations)
         record(F, trajs, time.perf_counter() - t0)
         converged = residuals[-1] <= options.outer_tol
@@ -383,18 +468,7 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
             break
     if not converged and not message:
         message = "iteration limit reached"
-
-    return ConvergenceReport(
-        converged=converged,
-        iterations=len(residuals) - 1,
-        residuals=np.array(residuals),
-        errors=None if errors is None else np.array(errors),
-        inner_iterations=inner_iterations,
-        wall_times=np.array(wall_times),
-        final=X,
-        message=message,
-        newton_iterations=newton_iterations,
-    )
+    return report(converged)
 
 
 def reference_solve(problem: ControlProblem, grid: TimeGrid,

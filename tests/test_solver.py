@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -616,9 +618,127 @@ def test_warm_started_windows_take_one_newton_step_at_the_end():
     rows = rep.newton_iterations
     assert len(rows) == rep.iterations + 1
     assert all(len(row) == g.num_subintervals for row in rows)
-    assert min(rows[0]) >= 2                   # cold start from the guess
+    # row 0 starts from the coarse trajectories at the guess, which miss
+    # the fine ones by the coarse discretization error
+    assert min(rows[0]) >= 2
     for row in rows[-3:]:                      # the iterates barely move
         assert row == (1,) * g.num_subintervals
+
+
+def test_row_zero_starts_from_the_coarse_trajectories():
+    # with coarse_steps == fine_steps each coarse trajectory solves its fine
+    # window, so row 0 takes only the one step that every start takes
+    p = make_lotka_volterra()
+    g = make_grid(1.0 / 3.0, 6, 50, 50)
+    rep = paraopt_solve(p, g, ParaoptOptions(workers=1, **LV_PRESET))
+    assert rep.converged
+    assert rep.newton_iterations[0] == (1,) * g.num_subintervals
+
+
+def test_linearizations_at_the_guess_are_timed_with_the_first_step(
+        monkeypatch):
+    # row 0 times the first residual only; the coarse linearizations at X^0
+    # that it starts from belong to outer step 1, as every later step's do
+    p, g = lv_preset()
+    L = g.num_subintervals
+    calls = []
+
+    def slow_at_the_guess(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= L:
+            time.sleep(0.1)
+        return coarse_linearize(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "coarse_linearize", slow_at_the_guess)
+    rep = paraopt_solve(p, g, ParaoptOptions(workers=1, **LV_PRESET))
+    assert rep.converged and rep.iterations >= 2
+    assert rep.wall_times[0] < 0.1 * L <= rep.wall_times[1]
+
+
+def test_predicted_starts_follow_the_outer_step():
+    # one outer step by hand: each start is the old fine trajectory plus the
+    # coarse tangent of its (dY, dLam), added in place
+    p, g = lv_preset()
+    L, n = g.num_subintervals, p.dim
+    X = default_initial_guess(p, g)
+    F, trajs = residual(p, g, X)
+    lins = [coarse_linearize(p, g, ell, X.states[ell - 1],
+                             X.adjoints[ell - 1]) for ell in range(1, L + 1)]
+    dX, _ = solve_jacobian_system(lins, -F, ParaoptOptions(**LV_PRESET))
+    dX = InterfaceVector.from_stacked(dX, L, n)
+    old = [(t.states.copy(), t.adjoints.copy()) for t in trajs]
+    starts = solver._fine_starts(p, g, lins, trajs, dX)
+    for ell in range(1, L + 1):
+        y, lam = old[ell - 1]
+        dy, dlam = lins[ell - 1].tangent(dX.states[ell - 1],
+                                         dX.adjoints[ell - 1], g.fine_steps)
+        start = starts[ell - 1]
+        assert start.states is trajs[ell - 1].states
+        assert start.adjoints is trajs[ell - 1].adjoints
+        assert np.array_equal(start.states, y + dy)
+        assert np.array_equal(start.adjoints, lam + dlam)
+
+
+def test_sensitivities_solved_again_give_the_same_solve(monkeypatch):
+    # windows whose sensitivity solve is too large to keep solve it again
+    # for the tangent: same numbers, bit for bit
+    p, g = lv_preset()
+    options = ParaoptOptions(workers=1, **LV_PRESET)
+    kept = paraopt_solve(p, g, options)
+    monkeypatch.setattr(propagators, "_KEPT_SENSITIVITY_BYTES", 0)
+    solved_again = paraopt_solve(p, g, options)
+    assert np.array_equal(kept.residuals, solved_again.residuals)
+    assert np.array_equal(kept.final.to_stacked(),
+                          solved_again.final.to_stacked())
+    assert kept.newton_iterations == solved_again.newton_iterations
+
+
+def test_predicted_starts_save_newton_steps_in_the_outer_steps(monkeypatch):
+    p, g = lv_preset()
+    options = ParaoptOptions(workers=1, **LV_PRESET)
+    predicted = paraopt_solve(p, g, options)
+
+    def previous_trajectories(problem, grid, lins, trajs=None, dX=None,
+                              gauss_newton=False):
+        return trajs
+
+    monkeypatch.setattr(solver, "_fine_starts", previous_trajectories)
+    plain = paraopt_solve(p, g, options)
+    assert predicted.converged and plain.converged
+
+    def steps_after_row_zero(report):
+        return sum(map(sum, report.newton_iterations[1:]))
+
+    assert steps_after_row_zero(predicted) < steps_after_row_zero(plain)
+
+
+def test_unconverged_inner_solve_raises_with_the_partial_report(monkeypatch):
+    # GMRES gets its full budget on the first outer step and one iteration
+    # on the second, which ends it short of inner_tol: that step must not
+    # be taken
+    calls = []
+
+    def budgeted_gmres(matvec, b, tol, max_iters):
+        calls.append(max_iters)
+        return gmres(matvec, b, tol, max_iters if len(calls) == 1 else 1)
+
+    monkeypatch.setattr(solver, "gmres", budgeted_gmres)
+    p, g = lv_preset()
+    options = ParaoptOptions(workers=1, inner_solver="krylov")
+    with pytest.raises(NoConvergenceError,
+                       match=r"inner krylov solve of outer step 2 did not "
+                             r"converge: 1 iterations, relative residual "
+                             r"\S+ > inner_tol 1\.000e-10") as info:
+        paraopt_solve(p, g, options)
+    report = info.value.report
+    assert not report.converged and report.iterations == 1
+    assert len(report.residuals) == 2 and len(report.inner_iterations) == 1
+    assert report.message == str(info.value)
+    # the iterate is the one after the first step, as a one-step run gives
+    monkeypatch.setattr(solver, "gmres", gmres)
+    one = paraopt_solve(p, g, replace(options, max_outer=1))
+    assert np.array_equal(report.final.to_stacked(), one.final.to_stacked())
+    assert np.array_equal(report.residuals, one.residuals)
 
 
 def test_warm_start_within_tolerance_still_takes_one_step():
