@@ -9,10 +9,9 @@ the left (y(T_l) = Y), the adjoint on the right (lam(T_{l+1}) = Lam_plus).
 ``coarse_linearize`` does the same on the coarse step and keeps the local
 solution; ``CoarseLinearization.blocks`` assembles from it the four
 derivative blocks dP/dY, dP/dLam, dQ/dY, dQ/dLam of the coarse propagator
-pair (by solving the linearized problem about the stored trajectory);
-``CoarseLinearization.tangent`` gives the first-order change of the whole
-coarse trajectory from the same solve, and ``CoarseLinearization.predict``
-the trajectory itself, both interpolated onto a finer grid.
+pair (by solving the linearized problem about the stored trajectory), and
+``CoarseLinearization.predict`` interpolates the trajectory itself onto a
+finer grid.
 
 Discretization (implicit Euler both directions, one function of this module
 per branch; the linear branch follows the discretely-optimal form whose
@@ -43,10 +42,9 @@ control picks up an extra solve with the step matrix):
   otherwise keep its old P and Q, ignoring the new Y and Lam_plus, which
   stalls the outer iteration near the tolerance.  The outer iteration
   passes predicted starts: the coarse trajectory interpolated onto the
-  fine nodes on its first residual, afterwards the previous fine
-  trajectory plus the coarse tangent of the outer step
-  (``CoarseLinearization.tangent``).  Linear windows are closed-form and
-  ignore ``start``.
+  fine nodes on its first residual, afterwards the Parareal update of the
+  previous fine trajectory by the change of the coarse trajectory over the
+  outer step.  Linear windows are closed-form and ignore ``start``.
   A window solve allocates its band matrix once and refills it on every
   Newton step.  The banded LU is LAPACK ``dgbsv``, called through the
   function pointer scipy exports for Cython and ctypes, which releases the
@@ -573,13 +571,6 @@ def _interpolate_nodes(values: Array, steps: int) -> Array:
     return (1.0 - w) * values[k] + w * values[k + 1]
 
 
-# a window keeps its sensitivity solve from blocks() to tangent() only up to
-# this size (8192 coarse slots at n = 2), so L windows hold at most L MiB
-# while the outer step is solved; a larger one is solved again in tangent(),
-# with the same result
-_KEPT_SENSITIVITY_BYTES = 1 << 20
-
-
 @dataclass
 class CoarseLinearization:
     """Coarse window solution plus the linearization data built on it."""
@@ -589,96 +580,57 @@ class CoarseLinearization:
     subinterval_index: int
     trajectory: LocalTrajectory
     _blocks: dict = field(default_factory=dict, repr=False)
-    # variant -> :meth:`_sensitivity_solve`'s result, from :meth:`blocks`
-    # until :meth:`tangent` uses it (small ones only)
-    _sensitivities: dict = field(default_factory=dict, repr=False)
 
     def blocks(self, gauss_newton: bool = False):
         """The four derivative matrices (P_y, P_lam, Q_y, Q_lam).
 
         Built once per variant: in closed form for linear problems, otherwise
-        from :meth:`_sensitivity_solve`, whose whole solution is kept until
-        :meth:`tangent` uses it if it fits in ``_KEPT_SENSITIVITY_BYTES``.
-        With ``gauss_newton`` the second-derivative coupling of the adjoint
-        equation is dropped.  A linear problem's blocks do not depend on the
-        window or the variant: every window gets the same read-only arrays
-        of its operator set (``_LinearOps.blocks``), not copies.
+        from one banded solve of the linearized window system about
+        ``trajectory`` for the 2n unit boundary data.  With ``gauss_newton``
+        the second-derivative coupling of the adjoint equation is dropped.
+        A linear problem's blocks do not depend on the window or the
+        variant: every window gets the same read-only arrays of its operator
+        set (``_LinearOps.blocks``), not copies.
         """
         key = bool(gauss_newton)
         if key not in self._blocks:
-            n = self.problem.dim
-            if self.problem.is_linear:
-                blocks = _linear_ops(self.problem, self.trajectory.tau,
-                                     self.trajectory.steps).blocks
-            else:
-                m = self.trajectory.steps
-                du = self._sensitivity_solve(key)
-                if du.nbytes <= _KEPT_SENSITIVITY_BYTES:
-                    self._sensitivities[key] = du
-                top = du[0:n]
-                bottom = du[(m - 1) * 2 * n + n: m * 2 * n]
-                blocks = (bottom[:, :n].copy(), bottom[:, n:].copy(),
-                          top[:, :n].copy(), top[:, n:].copy())
-            self._blocks[key] = blocks
+            self._blocks[key] = (
+                _linear_ops(self.problem, self.trajectory.tau,
+                            self.trajectory.steps).blocks
+                if self.problem.is_linear else self._nonlinear_blocks(key))
         return self._blocks[key]
 
-    def _sensitivity_solve(self, gauss_newton: bool) -> Array:
-        """The (2n*m, 2n) solution of the linearized window system.
-
-        One banded factorization of the system about ``trajectory``, solved
-        for the 2n unit boundary data (dY, then dLam): column j holds every
-        slot's (dlam_t, dy_{t+1}) for direction j.  Nonlinear problems only.
-        """
+    def _nonlinear_blocks(self, gauss_newton: bool):
         n = self.problem.dim
         traj = self.trajectory
-        m = traj.steps
+        m, tau = traj.steps, traj.tau
         bbt_over_alpha = self.problem.bbt() / self.problem.alpha
         ab = _assemble_banded(_band_workspace(n, m), self.problem,
-                              traj.states, traj.adjoints, traj.tau,
+                              traj.states, traj.adjoints, tau,
                               bbt_over_alpha, gauss_newton)
-        eye = np.eye(n)
+        # unit boundary data, dY in the first n columns and dLam in the last
+        # n, enter the first slot's rows and the last slot's (the same rows
+        # when m = 1), added onto zeros so that no -0.0 enters; the
+        # solution's column j holds every slot's (dlam_t, dy_{t+1}) for
+        # direction j
         rhs = np.zeros((2 * n * m, 2 * n))
-        for i in range(n):
-            rhs[:, i] = _derivative_rhs(
-                self.problem, traj, eye[i], np.zeros(n), gauss_newton,
-                bbt_over_alpha)
-            rhs[:, n + i] = _derivative_rhs(
-                self.problem, traj, np.zeros(n), eye[i], gauss_newton,
-                bbt_over_alpha)
+        last = (m - 1) * 2 * n
+        if not gauss_newton:
+            rhs[0:n, :n] += tau * self.problem.hess_coupling_many(
+                traj.states[:1], traj.adjoints[:1])[0]
+        rhs[n:2 * n, :n] += np.eye(n)
+        rhs[last:last + n, n:] += np.eye(n)
+        rhs[last + n:last + 2 * n, n:] -= tau * bbt_over_alpha
         try:
-            return _banded_solve(
+            du = _banded_solve(
                 n, ab, rhs, context=f"window {self.subinterval_index} blocks")
         except SingularStepError as exc:
             exc.subinterval = self.subinterval_index
             exc.phase = "blocks"
             raise
-
-    def tangent(self, dY: Array, dLam: Array, steps: int,
-                gauss_newton: bool = False):
-        """Coarse linearized change of the window's states and adjoints.
-
-        The change that boundary data (Y + dY, Lam_plus + dLam) makes to
-        ``trajectory`` to first order, interpolated linearly in normalized
-        time onto ``steps`` uniform steps.  Returns (dstates, dadjoints),
-        each (steps+1, n).  Uses and releases the sensitivities that
-        :meth:`blocks` kept for this variant, or solves for them again.
-        Nonlinear problems only.
-        """
-        key = bool(gauss_newton)
-        du = self._sensitivities.pop(key, None)
-        if du is None:
-            du = self._sensitivity_solve(key)
-        n = self.problem.dim
-        m = self.trajectory.steps
-        d = np.concatenate([np.asarray(dY, dtype=float).reshape(n),
-                            np.asarray(dLam, dtype=float).reshape(n)])
-        slots = (du @ d).reshape(m, 2 * n)
-        del du
-        dy = np.empty((m + 1, n))
-        dlam = np.empty((m + 1, n))
-        dy[0], dy[1:] = d[:n], slots[:, n:]
-        dlam[:-1], dlam[-1] = slots[:, :n], d[n:]
-        return _interpolate_nodes(dy, steps), _interpolate_nodes(dlam, steps)
+        top, bottom = du[0:n], du[last + n:last + 2 * n]
+        return (bottom[:, :n].copy(), bottom[:, n:].copy(),
+                top[:, :n].copy(), top[:, n:].copy())
 
     def predict(self, steps: int):
         """``trajectory`` interpolated linearly in normalized time onto
@@ -697,22 +649,6 @@ def coarse_linearize(problem: ControlProblem, grid: TimeGrid, ell: int,
                             coarse=True)
     return CoarseLinearization(problem=problem, grid=grid,
                                subinterval_index=ell, trajectory=traj)
-
-
-def _derivative_rhs(problem, traj: LocalTrajectory, dY, dLam, gauss_newton,
-                    bbt_over_alpha) -> Array:
-    """Boundary-data injection for the linearized window system."""
-    n = problem.dim
-    m = traj.steps
-    tau = traj.tau
-    rhs = np.zeros(2 * n * m)
-    if not gauss_newton:
-        K0 = problem.hess_coupling_many(traj.states[:1], traj.adjoints[:1])[0]
-        rhs[0:n] += tau * (K0 @ dY)
-    rhs[n:2 * n] += dY
-    rhs[(m - 1) * 2 * n: (m - 1) * 2 * n + n] += dLam
-    rhs[(m - 1) * 2 * n + n: m * 2 * n] += -tau * (bbt_over_alpha @ dLam)
-    return rhs
 
 
 def window_recurrence_residual(problem: ControlProblem,

@@ -10,14 +10,15 @@ The nonlinear residual enforces the matching conditions
 
 with P, Q the fine window propagators.  Each outer step solves
 J^G(X) dX = -F(X) where J^G carries the *coarse* derivative blocks of P and
-Q, then updates X += dX.  The coarse propagator also predicts where the fine
+Q, then updates X += dX.  The coarse windows are linearized at every
+iterate before its residual, and their trajectories predict where the fine
 windows land: the first residual starts each nonlinear fine window from its
-coarse trajectory at X^0, and each later one from the previous fine
-trajectory plus the coarse tangent of dX, so the fine Newton iterations
-only correct.  The L window solves of a residual evaluation and the L
-coarse linearizations are independent tasks run on a worker pool; assembly
-and norms happen in a fixed order, so results are identical for any worker
-count.
+coarse trajectory at X^0, and each later one from the Parareal update
+F_old + G_new - G_old of its previous fine trajectory, so the fine Newton
+iterations only correct.  The L window solves of a residual evaluation and
+the L coarse linearizations are independent tasks run on a worker pool;
+assembly and norms happen in a fixed order, so results are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (InvalidParameterError, NewtonDivergenceError,
                      NoConvergenceError, SingularMatrixError,
                      SingularStepError)
 from .model import ControlProblem, InterfaceVector, TimeGrid
-from .propagators import (LocalTrajectory, _linear_ops,
+from .propagators import (LocalTrajectory, _interpolate_nodes, _linear_ops,
                           _solve_window_nonlinear, coarse_linearize,
                           fine_propagate, window_recurrence_residual)
 
@@ -87,8 +88,9 @@ class ConvergenceReport:
     residuals: Array                 # len iterations+1, starts at X^0
     errors: Optional[Array]          # vs reference, same length; None if absent
     inner_iterations: list           # per outer step
-    # seconds per history row: row 0 the first residual, row k outer step k
-    # (coarse linearizations, inner solve, residual)
+    # seconds per history row: row 0 the coarse linearizations at X^0 and
+    # the first residual, row k outer step k (inner solve, then the coarse
+    # linearizations and the residual at the new iterate)
     wall_times: Array
     final: InterfaceVector
     message: str = ""
@@ -136,18 +138,19 @@ def _window_task(solve, phase, problem, grid, X, tol, max_newton,
     return task
 
 
-def _fine_starts(problem, grid, lins, trajs=None, dX=None,
-                 gauss_newton=False):
+def _fine_starts(problem, grid, lins, trajs=None, old_lins=None):
     """Predicted starts of the L fine windows; None for a linear problem.
 
     Without ``trajs`` (the first residual), each window starts from its
-    coarse trajectory interpolated onto the fine nodes
-    (:meth:`CoarseLinearization.predict`).  Otherwise the outer step ``dX``
-    was taken from the iterate that both ``trajs`` and ``lins`` belong to,
-    and each window starts from its fine trajectory plus the coarse tangent
-    of its (dY, dLam) (:meth:`CoarseLinearization.tangent`), added in
-    place: the old trajectory is not read again.  The starts are built on
-    first access, inside each window's task.
+    coarse trajectory in ``lins`` interpolated onto the fine nodes
+    (:meth:`CoarseLinearization.predict`).  Otherwise ``trajs`` and
+    ``old_lins`` are the fine trajectories and the coarse linearizations at
+    the previous iterate, and each window starts from the Parareal update
+    F_old + G_new - G_old: its fine trajectory plus the change of its
+    coarse trajectory from ``old_lins`` to ``lins``, interpolated onto the
+    fine nodes and added in place, so the old trajectory is not read again.
+    The starts are built on first access, inside each window's task, which
+    sets the window's entry of ``old_lins`` to None once it is read.
     """
     if problem.is_linear:        # closed-form windows take no start
         return None
@@ -160,13 +163,11 @@ def _fine_starts(problem, grid, lins, trajs=None, dX=None,
                 return lin.predict(steps)
         else:
             def build():
-                old = trajs[ell - 1]
-                dy, dlam = lin.tangent(dX.states[ell - 1],
-                                       dX.adjoints[ell - 1], steps,
-                                       gauss_newton)
-                y, lam = old.states, old.adjoints
-                y += dy
-                lam += dlam
+                new, old = lin.trajectory, old_lins[ell - 1].trajectory
+                old_lins[ell - 1] = None
+                y, lam = trajs[ell - 1].states, trajs[ell - 1].adjoints
+                y += _interpolate_nodes(new.states - old.states, steps)
+                lam += _interpolate_nodes(new.adjoints - old.adjoints, steps)
                 return y, lam
         return LocalTrajectory(grid.fine_step, steps, builder=build)
 
@@ -270,6 +271,13 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
     Krylov basis doubles when full, and the Hessenberg columns are kept as
     lists of Python floats, on which the rotations run.  Returns (x,
     iterations, relative residual, converged).
+
+    Raises ``np.linalg.LinAlgError`` when a diagonal entry of the triangular
+    factor is at most k * eps times its largest entry (k the iterations,
+    the rank tolerance of ``np.linalg.matrix_rank``).  On a singular matrix
+    whose range misses ``b`` GMRES breaks down there (Brown & Walker, SIAM
+    J. Matrix Anal. Appl. 18, 1997): rounding leaves a pivot of order eps,
+    the residual estimate reads converged, and x is of order 1/eps.
     """
     b = np.asarray(b, dtype=float)
     beta = float(np.linalg.norm(b))
@@ -315,6 +323,8 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
     H = np.zeros((k, k))
     for col, h in enumerate(R):
         H[:col + 1, col] = h
+    if np.abs(np.diag(H)).min() <= k * np.finfo(float).eps * np.abs(H).max():
+        raise np.linalg.LinAlgError("triangular factor is numerically singular")
     x = V[:k].T @ np.linalg.solve(H, g[:k])
     return x, k, relres, relres <= tol
 
@@ -324,8 +334,8 @@ def solve_jacobian_system(linearizations: list, rhs: Array,
     """Solve J^G dX = rhs by full GMRES or by assembled dense LU.
 
     Raises :class:`SingularMatrixError` when J^G is singular: the LU meets a
-    zero pivot, or GMRES breaks down with a zero on the diagonal of its
-    triangular factor.
+    zero pivot, or GMRES's triangular factor is numerically singular (see
+    :func:`gmres`).
     """
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
@@ -377,15 +387,14 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     :func:`default_initial_guess` when ``x0`` is None.  When ``reference``
     is given, the max-norm interface error against it is recorded per
     iteration (the convergence-history metric of the experiments).  The
-    coarse linearizations at X^0 run before the first residual and serve
-    both its fine-window starts and the first outer step; every residual's
-    nonlinear fine windows start from predicted trajectories (see
-    :func:`_fine_starts`).  Returns a report; ``converged`` is False when
-    the iteration limit or the divergence guard hits.  Raises
-    :class:`NoConvergenceError`, with the report so far attached, when a
-    GMRES inner solve ends above ``inner_tol``; its step is not taken.  To
-    re-check the final residual with fresh windows, call
-    :func:`verify_residual`.
+    coarse windows are linearized at each iterate before its residual; the
+    linearizations serve both that residual's fine-window starts (see
+    :func:`_fine_starts`) and the outer step taken from the iterate.
+    Returns a report; ``converged`` is False when the iteration limit or the
+    divergence guard hits.  Raises :class:`NoConvergenceError`, with the
+    report so far attached, when a GMRES inner solve ends above
+    ``inner_tol``; its step is not taken.  To re-check the final residual
+    with fresh windows, call :func:`verify_residual`.
     """
     options = options or ParaoptOptions()
     L = grid.num_subintervals
@@ -425,12 +434,8 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
                          options.local_tol, options.local_max_newton),
             range(1, L + 1), workers)
 
-    gauss_newton = options.variant == VARIANT_GAUSS_NEWTON
     t0 = time.perf_counter()
     lins = linearize(X)
-    # timed with the first outer step, like every later step's
-    linearize_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
     F, trajs = residual(problem, grid, X, options.local_tol,
                         options.local_max_newton, workers,
                         starts=_fine_starts(problem, grid, lins))
@@ -440,10 +445,6 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     guard = DIVERGENCE_FACTOR * max(residuals[0], 1e-300)
     while not converged and len(residuals) <= options.max_outer:
         t0 = time.perf_counter()
-        if lins is None:
-            lins = linearize(X)
-        else:                  # the first step reuses those at X^0
-            t0 -= linearize_s
         dX, stats = solve_jacobian_system(lins, -F, options, workers)
         if not stats.converged:
             message = (
@@ -453,13 +454,11 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
                 f"{stats.relative_residual:.3e} > inner_tol "
                 f"{options.inner_tol:.3e}")
             raise NoConvergenceError(message, report=report(False))
-        step = InterfaceVector.from_stacked(dX, L, problem.dim)
         X = InterfaceVector.from_stacked(X.to_stacked() + dX, L, problem.dim)
+        old_lins, lins = lins, linearize(X)
         F, trajs = residual(
             problem, grid, X, options.local_tol, options.local_max_newton,
-            workers, starts=_fine_starts(problem, grid, lins, trajs, step,
-                                         gauss_newton))
-        lins = None            # free them before relinearizing
+            workers, starts=_fine_starts(problem, grid, lins, trajs, old_lins))
         inner_iterations.append(stats.iterations)
         record(F, trajs, time.perf_counter() - t0)
         converged = residuals[-1] <= options.outer_tol

@@ -134,55 +134,11 @@ def test_derivative_action_finite_difference_consistency():
         assert np.abs(dQ - fdQ).max() <= 1e-4 * scale
 
 
-def test_tangent_matches_finite_difference_of_coarse_linearize():
-    # the tangent is the derivative of the whole coarse trajectory in the
-    # boundary data (Y, Lam_plus)
-    p = make_lotka_volterra()
-    g = make_grid(1.0 / 3.0, 5, 200, 20)
-    Y, Lam = np.array([30.0, 12.0]), np.array([1.0, 1.0])
-    lin = coarse_linearize(p, g, 2, Y, Lam)
-    h = 1e-5
-    rng = np.random.default_rng(12)
-    for _ in range(3):
-        dY, dL = rng.standard_normal((2, 2))
-        dy, dlam = lin.tangent(dY, dL, g.coarse_steps)
-        plus = coarse_linearize(p, g, 2, Y + h * dY, Lam + h * dL).trajectory
-        minus = coarse_linearize(p, g, 2, Y - h * dY, Lam - h * dL).trajectory
-        fd_y = (plus.states - minus.states) / (2 * h)
-        fd_lam = (plus.adjoints - minus.adjoints) / (2 * h)
-        scale = max(np.abs(dy).max(), np.abs(dlam).max())
-        assert np.abs(dy - fd_y).max() <= 1e-6 * scale
-        assert np.abs(dlam - fd_lam).max() <= 1e-6 * scale
-        # its end rows are the derivative blocks' action
-        dP, dQ = derivative_action(lin, dY, dL)
-        assert np.array_equal(dy[0], dY) and np.array_equal(dlam[-1], dL)
-        assert np.allclose(dy[-1], dP, rtol=1e-12, atol=1e-12 * scale)
-        assert np.allclose(dlam[0], dQ, rtol=1e-12, atol=1e-12 * scale)
-
-
-def test_tangent_interpolates_onto_any_fine_grid():
+def test_predict_interpolates_onto_any_fine_grid():
     p = make_lotka_volterra()
     g = make_grid(1.0 / 3.0, 3, 70, 7)
     lin = coarse_linearize(p, g, 1, p.y_init, [1.0, 1.0])
-    dY, dL = np.array([0.5, -1.0]), np.array([0.2, 0.3])
-    coarse = lin.tangent(dY, dL, 7)
     for steps in (70, 23):        # a multiple of 7 and not one
-        fine = lin.tangent(dY, dL, steps)
-        for c, f in zip(coarse, fine):
-            assert f.shape == (steps + 1, 2)
-            assert np.array_equal(f[0], c[0]) and np.array_equal(f[-1], c[-1])
-            t = np.linspace(0.0, 1.0, steps + 1)
-            for i in range(2):
-                expected = np.interp(t, np.linspace(0.0, 1.0, 8), c[:, i])
-                scale = np.abs(c[:, i]).max()
-                assert np.allclose(f[:, i], expected, rtol=0,
-                                   atol=1e-14 * scale)
-    # the fine nodes that coincide with coarse ones carry their values
-    fine = lin.tangent(dY, dL, 70)
-    assert np.array_equal(fine[0][::10], coarse[0])
-    assert np.array_equal(fine[1][::10], coarse[1])
-    # so does the coarse trajectory itself, put onto the same grids
-    for steps in (70, 23):
         for f, c in zip(lin.predict(steps),
                         (lin.trajectory.states, lin.trajectory.adjoints)):
             assert f.shape == (steps + 1, 2)
@@ -191,30 +147,9 @@ def test_tangent_interpolates_onto_any_fine_grid():
             for i in range(2):
                 expected = np.interp(t, np.linspace(0.0, 1.0, 8), c[:, i])
                 assert np.allclose(f[:, i], expected, rtol=1e-14, atol=0)
+    # the fine nodes that coincide with coarse ones carry their values
     assert np.array_equal(lin.predict(70)[0][::10], lin.trajectory.states)
-
-
-def test_tangent_releases_the_sensitivity_solve(monkeypatch):
-    # blocks() keeps small sensitivity solves for the tangent, which frees
-    # them; a later tangent, or one on a window whose solve was too large to
-    # keep, solves for them again and gets the same numbers
-    p = make_lotka_volterra()
-    g = make_grid(1.0 / 3.0, 3, 70, 7)
-    lin = coarse_linearize(p, g, 2, [30.0, 12.0], [1.0, 1.0])
-    for gauss_newton in (False, True):
-        lin.blocks(gauss_newton)
-    assert set(lin._sensitivities) == {False, True}
-    dY, dL = np.array([0.5, -1.0]), np.array([0.2, 0.3])
-    first = lin.tangent(dY, dL, 70)
-    assert set(lin._sensitivities) == {True}
-    again = lin.tangent(dY, dL, 70)
-    assert set(lin._sensitivities) == {True}
-    monkeypatch.setattr(propagators, "_KEPT_SENSITIVITY_BYTES", 0)
-    unkept = coarse_linearize(p, g, 2, [30.0, 12.0], [1.0, 1.0])
-    assert np.array_equal(unkept.blocks()[0], lin.blocks()[0])
-    assert not unkept._sensitivities
-    for a, b, c in zip(first, again, unkept.tangent(dY, dL, 70)):
-        assert np.array_equal(a, b) and np.array_equal(a, c)
+    assert np.array_equal(lin.predict(70)[1][::10], lin.trajectory.adjoints)
 
 
 def test_derivative_action_is_exact_jacobian_for_linear_fine_grid():
