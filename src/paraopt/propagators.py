@@ -46,9 +46,15 @@ control picks up an extra solve with the step matrix):
   previous fine trajectory by the change of the coarse trajectory over the
   outer step.  Linear windows are closed-form and ignore ``start``.
   A window solve allocates its band matrix once and refills it on every
-  Newton step.  The banded LU is LAPACK ``dgbsv``, called through the
-  function pointer scipy exports for Cython and ctypes, which releases the
-  GIL for the call, so window solves on a thread pool factor in parallel.
+  Newton step.  LAPACK ``dgbtrf`` factors it and ``dgbtrs`` solves with the
+  factors, both called through the function pointers scipy exports for
+  Cython and ctypes, which release the GIL for the call, so window solves
+  on a thread pool factor in parallel.  A warm-started solve keeps its
+  factors for chord steps (simplified Newton): after a step that leaves at
+  most ``_CHORD_CONTRACTION`` times the residual it started from, the next
+  step back-solves against the factors it holds, with no assembly or
+  factorization; a chord step that does not lower the residual is redone
+  as a Newton step.  No factors outlive a window solve.
 
 All entry points are pure functions of their arguments and can run
 concurrently on distinct sub-intervals.
@@ -391,24 +397,27 @@ def _capsule_function(capsule, *argtypes):
 
 _int_p = ctypes.POINTER(ctypes.c_int)
 _double_p = ctypes.POINTER(ctypes.c_double)
-# dgbsv(n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info): Fortran arguments,
-# all passed by reference
-_dgbsv = _capsule_function(
-    _cython_lapack.__pyx_capi__["dgbsv"],
-    _int_p, _int_p, _int_p, _int_p, _double_p, _int_p, _int_p, _double_p,
-    _int_p, _int_p)
+# Fortran arguments, all passed by reference:
+#   dgbtrf(m, n, kl, ku, ab, ldab, ipiv, info)
+#   dgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
+_dgbtrf = _capsule_function(
+    _cython_lapack.__pyx_capi__["dgbtrf"],
+    _int_p, _int_p, _int_p, _int_p, _double_p, _int_p, _int_p, _int_p)
+_dgbtrs = _capsule_function(
+    _cython_lapack.__pyx_capi__["dgbtrs"],
+    ctypes.c_char_p, _int_p, _int_p, _int_p, _int_p, _double_p, _int_p,
+    _int_p, _double_p, _int_p, _int_p)
 
 
 def _int_ref(value: int):
     return ctypes.byref(ctypes.c_int(value))
 
 
-def _banded_solve(n: int, ab: Array, rhs: Array, context: str) -> Array:
-    """Solve the banded window system in ``ab`` for ``rhs`` with LAPACK dgbsv.
+def _band_factor(n: int, ab: Array, context: str) -> Array:
+    """LU-factor the banded window system in ``ab`` with LAPACK dgbtrf.
 
-    ``ab`` is overwritten by its LU factors; ``rhs`` (a vector or a matrix
-    of columns) is left as it is and the solution is returned in a new
-    array of its shape.
+    ``ab`` is overwritten by its LU factors; returns the pivot indices that
+    :func:`_band_solve` needs with them.
     """
     l = _bandwidth(n)
     rows = 3 * l + 1
@@ -417,22 +426,74 @@ def _banded_solve(n: int, ab: Array, rhs: Array, context: str) -> Array:
         raise ValueError(
             f"ab must be F-contiguous float64 gbsv storage with {rows} rows")
     size = ab.shape[1]
-    x = np.array(rhs, dtype=np.float64, order="F")
-    if x.ndim not in (1, 2) or x.shape[0] != size:
-        raise ValueError(f"rhs needs {size} rows, got shape {x.shape}")
-    nrhs = 1 if x.ndim == 1 else x.shape[1]
     ipiv = np.empty(size, dtype=np.intc)
     info = ctypes.c_int(0)
-    # ab, ipiv and x are locals, so they outlive the call
-    _dgbsv(_int_ref(size), _int_ref(l), _int_ref(l), _int_ref(nrhs),
-           ab.ctypes.data_as(_double_p), _int_ref(rows),
-           ipiv.ctypes.data_as(_int_p), x.ctypes.data_as(_double_p),
-           _int_ref(max(1, size)), ctypes.byref(info))
+    # ab and ipiv are locals, so they outlive the call
+    _dgbtrf(_int_ref(size), _int_ref(size), _int_ref(l), _int_ref(l),
+            ab.ctypes.data_as(_double_p), _int_ref(rows),
+            ipiv.ctypes.data_as(_int_p), ctypes.byref(info))
     if info.value != 0:
         raise SingularStepError(
             f"banded window system singular (lapack info={info.value}) "
             f"in {context}")
+    return ipiv
+
+
+def _band_solve(n: int, ab: Array, ipiv: Array, rhs: Array) -> Array:
+    """Solve with the factors of :func:`_band_factor` (LAPACK dgbtrs).
+
+    ``ab`` and ``ipiv`` are only read, so they serve any number of solves;
+    ``rhs`` (a vector or a matrix of columns) is left as it is and the
+    solution is returned in a new array of its shape.
+    """
+    l = _bandwidth(n)
+    size = ab.shape[1]
+    x = np.array(rhs, dtype=np.float64, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != size:
+        raise ValueError(f"rhs needs {size} rows, got shape {x.shape}")
+    if ipiv.dtype != np.intc or ipiv.shape != (size,):
+        raise ValueError(f"ipiv must be {size} C ints from _band_factor")
+    nrhs = 1 if x.ndim == 1 else x.shape[1]
+    info = ctypes.c_int(0)
+    _dgbtrs(b"N", _int_ref(size), _int_ref(l), _int_ref(l), _int_ref(nrhs),
+            ab.ctypes.data_as(_double_p), _int_ref(ab.shape[0]),
+            ipiv.ctypes.data_as(_int_p), x.ctypes.data_as(_double_p),
+            _int_ref(max(1, size)), ctypes.byref(info))
+    if info.value != 0:      # only an illegal argument sets it
+        raise ValueError(f"dgbtrs rejected argument {-info.value}")
     return x
+
+
+# In a warm-started window solve, a step that leaves at most this fraction
+# of the residual (max norm) it started from is followed by a chord step.
+# In the warm fine windows of predator-prey (12 windows of 20k and of 100k
+# steps) every Newton step above the round-off floor contracted by 1e-7 to
+# 9.3e-3, and the chord step after it by 1e-5 to 0.1; the chord steps of a
+# cold whole-horizon solve contract by 0.03 to 0.5.  Cold solves (the coarse
+# windows, the reference) take none: their results are final, and a chord
+# step that ends a solve leaves a residual that is smooth along the window
+# rather than round-off (three Newton re-solves moved P and Q of a
+# chord-ended cold 20k-step window by 6 to 25 ulps, of a Newton-ended one
+# by none).  A warm window is solved again at the next outer iterate.
+_CHORD_CONTRACTION = 1e-2
+
+
+def _damped_update(problem, y, lam, du, step, tau, bbt_over_alpha,
+                   terminal: bool):
+    """Iterate ``(y, lam) + step * du`` and its residual.
+
+    Returns (residual max norm, states, adjoints, R1, R2).
+    """
+    n = problem.dim
+    du = du.reshape(len(y) - 1, 2 * n)      # slot t holds (dlam_t, dy_{t+1})
+    y_new = y.copy()
+    lam_new = lam.copy()
+    y_new[1:] += step * du[:, n:]
+    lam_new[:-1] += step * du[:, :n]
+    if terminal:
+        lam_new[-1] = y_new[-1] - problem.y_target
+    R1, R2 = _nonlinear_residual(problem, y_new, lam_new, tau, bbt_over_alpha)
+    return max(np.abs(R1).max(), np.abs(R2).max()), y_new, lam_new, R1, R2
 
 
 def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
@@ -445,7 +506,12 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
     guess).  ``start`` is a (states, adjoints) pair of an earlier solve on
     the same grid to start from instead of constants; the boundary values
     are written into it and at least one step is taken (see the module
-    docstring).  Returns (states, adjoints, Newton iterations).
+    docstring).  In a warm solve, a step that leaves at most
+    ``_CHORD_CONTRACTION`` times the residual it started from is followed
+    by a chord step on the factors of the last Newton step; a chord step
+    that does not lower the residual at full length is dropped and redone
+    as a Newton step.  Returns (states, adjoints, iterations), chord steps
+    included.
     """
     n = problem.dim
     bbt_over_alpha = problem.bbt() / problem.alpha
@@ -461,8 +527,10 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
             lam[-1] = Lam_plus
     if terminal:
         lam[-1] = y[-1] - problem.y_target
-    min_steps = 0 if start is None else 1
+    warm = start is not None
+    min_steps = 1 if warm else 0
     ab = _band_workspace(n, m)
+    ipiv = None             # set while ab holds factors a chord step may use
     R1, R2 = _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha)
     res = max(np.abs(R1).max(), np.abs(R2).max()) if m else 0.0
     res0 = max(res, 1.0)
@@ -472,32 +540,39 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
             raise NewtonDivergenceError(
                 f"window Newton needed more than {max_newton} iterations "
                 f"({context}); residual {res:.3e}", residual=res)
-        _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
-                         gauss_newton=False, terminal=terminal)
         rhs = np.empty((m, 2 * n))
         rhs[:, :n] = -R2
         rhs[:, n:] = -R1
-        du = _banded_solve(n, ab, rhs.ravel(), context).reshape(m, 2 * n)
-        dlam, dy = du[:, :n], du[:, n:]
-        # damped update: halve until the residual decreases
-        step = 1.0
+        rhs = rhs.ravel()
         best = None
-        for _ in range(_MAX_DAMPINGS + 1):
-            y_new = y.copy()
-            lam_new = lam.copy()
-            y_new[1:] += step * dy
-            lam_new[:-1] += step * dlam
-            if terminal:
-                lam_new[-1] = y_new[-1] - problem.y_target
-            R1n, R2n = _nonlinear_residual(problem, y_new, lam_new, tau,
-                                           bbt_over_alpha)
-            res_new = max(np.abs(R1n).max(), np.abs(R2n).max())
-            if best is None or res_new < best[0]:
-                best = (res_new, y_new, lam_new, R1n, R2n)
-            if res_new < res:
-                break
-            step *= 0.5
-        res, y, lam, R1, R2 = best[0], best[1], best[2], best[3], best[4]
+        if ipiv is not None:
+            # chord step, at full length; dropped unless it lowers the
+            # residual
+            du = _band_solve(n, ab, ipiv, rhs)
+            best = _damped_update(problem, y, lam, du, 1.0, tau,
+                                  bbt_over_alpha, terminal)
+            if not best[0] < res:
+                best = None
+        if best is None:
+            _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
+                             gauss_newton=False, terminal=terminal)
+            ipiv = _band_factor(n, ab, context)
+            du = _band_solve(n, ab, ipiv, rhs)
+            if not warm:   # no chord steps: free the pivots before the trials
+                ipiv = None
+            # damped update: halve until the residual decreases
+            step = 1.0
+            for _ in range(_MAX_DAMPINGS + 1):
+                trial = _damped_update(problem, y, lam, du, step, tau,
+                                       bbt_over_alpha, terminal)
+                if best is None or trial[0] < best[0]:
+                    best = trial
+                if trial[0] < res:
+                    break
+                step *= 0.5
+        if not best[0] <= _CHORD_CONTRACTION * res:
+            ipiv = None
+        res, y, lam, R1, R2 = best
         iters += 1
         if not np.isfinite(res) or res > 1e8 * res0:
             raise NewtonDivergenceError(
@@ -566,9 +641,11 @@ def _interpolate_nodes(values: Array, steps: int) -> Array:
     """
     m = len(values) - 1
     s = np.arange(steps + 1) * m / steps     # positions in coarse steps
-    k = np.minimum(s.astype(np.intp), m - 1)
-    w = (s - k)[:, None]
-    return (1.0 - w) * values[k] + w * values[k + 1]
+    nodes = np.arange(m + 1.0)
+    out = np.empty((steps + 1, values.shape[1]))
+    for i in range(values.shape[1]):
+        out[:, i] = np.interp(s, nodes, values[:, i])
+    return out
 
 
 @dataclass
@@ -622,12 +699,13 @@ class CoarseLinearization:
         rhs[last:last + n, n:] += np.eye(n)
         rhs[last + n:last + 2 * n, n:] -= tau * bbt_over_alpha
         try:
-            du = _banded_solve(
-                n, ab, rhs, context=f"window {self.subinterval_index} blocks")
+            ipiv = _band_factor(
+                n, ab, context=f"window {self.subinterval_index} blocks")
         except SingularStepError as exc:
             exc.subinterval = self.subinterval_index
             exc.phase = "blocks"
             raise
+        du = _band_solve(n, ab, ipiv, rhs)
         top, bottom = du[0:n], du[last + n:last + 2 * n]
         return (bottom[:, :n].copy(), bottom[:, n:].copy(),
                 top[:, :n].copy(), top[:, n:].copy())

@@ -94,7 +94,8 @@ class ConvergenceReport:
     wall_times: Array
     final: InterfaceVector
     message: str = ""
-    # per history row: the Newton steps of the L fine windows, window order
+    # per history row: the Newton steps (chord steps included) of the L fine
+    # windows, in window order
     newton_iterations: list = field(default_factory=list)
 
     @property

@@ -6,11 +6,12 @@ import pytest
 from scipy.linalg import lapack
 
 from paraopt import (ControlProblem, ParaoptOptions, SingularStepError,
-                     coarse_linearize, fine_propagate, make_dahlquist,
-                     make_grid, make_heat_1d, make_lotka_volterra,
-                     paraopt_solve, propagators)
-from paraopt.propagators import (_assemble_banded, _band_workspace,
-                                 _banded_solve, _nonlinear_residual,
+                     coarse_linearize, default_initial_guess, fine_propagate,
+                     make_dahlquist, make_grid, make_heat_1d,
+                     make_lotka_volterra, paraopt_solve, propagators)
+from paraopt.propagators import (LocalTrajectory, _assemble_banded,
+                                 _band_factor, _band_solve, _band_workspace,
+                                 _nonlinear_residual,
                                  window_recurrence_residual)
 
 
@@ -520,18 +521,30 @@ def _random_band_system(n, m, seed, nrhs=None):
     return ab, rhs
 
 
-@pytest.mark.parametrize("nrhs", [None, 4])
+def _factor_and_solve(n, ab, rhs, context):
+    ab = ab.copy(order="F")
+    return _band_solve(n, ab, _band_factor(n, ab, context), rhs)
+
+
+@pytest.mark.parametrize("nrhs", [None, 4])     # one column, and 2n
 def test_banded_solve_matches_scipy_dgbsv(nrhs):
     n = 2
     ab, rhs = _random_band_system(n, 60, seed=11, nrhs=nrhs)
     rhs_before = rhs.copy()
     l = propagators._bandwidth(n)
-    _, _, expected, info = lapack.dgbsv(l, l, ab.copy(order="F"), rhs)
+    lu, ipiv_expected, expected, info = lapack.dgbsv(
+        l, l, ab.copy(order="F"), rhs)
     assert info == 0
-    x = _banded_solve(n, ab, rhs, "test")
+    ipiv = _band_factor(n, ab, "test")
+    # dgbtrf leaves the factors and pivots dgbsv leaves (1-based pivots)
+    assert np.array_equal(ab, lu)
+    assert np.array_equal(ipiv, ipiv_expected + 1)
+    x = _band_solve(n, ab, ipiv, rhs)
     assert x.shape == rhs.shape
     assert np.array_equal(x, expected)
     assert np.array_equal(rhs, rhs_before)
+    # the factors are only read: a second back-solve gives the same answer
+    assert np.array_equal(_band_solve(n, ab, ipiv, rhs), expected)
 
 
 def test_banded_solve_rejects_singular_and_misfit_storage():
@@ -539,20 +552,22 @@ def test_banded_solve_rejects_singular_and_misfit_storage():
     ab, rhs = _random_band_system(n, 10, seed=12)
     ab[:, 7] = 0.0           # a zero column
     with pytest.raises(SingularStepError, match="lapack info=8"):
-        _banded_solve(n, ab, rhs, "test")
+        _band_factor(n, ab, "test")
     ab, rhs = _random_band_system(n, 10, seed=12)
     with pytest.raises(ValueError):
-        _banded_solve(n, np.ascontiguousarray(ab), rhs, "test")
+        _band_factor(n, np.ascontiguousarray(ab), "test")
+    ipiv = _band_factor(n, ab, "test")
     with pytest.raises(ValueError):
-        _banded_solve(n, ab, rhs[:-1], "test")
+        _band_solve(n, ab, ipiv, rhs[:-1])
+    with pytest.raises(ValueError):
+        _band_solve(n, ab, ipiv.astype(np.int64), rhs)
 
 
 def test_concurrent_banded_solves_match_serial():
     n, m = 2, 20_000
     systems = [_random_band_system(n, m, seed=s, nrhs=k)
                for s, k in ((21, None), (22, 2))]
-    serial = [_banded_solve(n, ab.copy(order="F"), rhs, "serial")
-              for ab, rhs in systems]
+    serial = [_factor_and_solve(n, ab, rhs, "serial") for ab, rhs in systems]
     results = [[], []]
     start = threading.Barrier(2, timeout=30)
 
@@ -560,8 +575,7 @@ def test_concurrent_banded_solves_match_serial():
         ab, rhs = systems[i]
         start.wait()
         for _ in range(5):
-            results[i].append(
-                _banded_solve(n, ab.copy(order="F"), rhs, f"thread {i}"))
+            results[i].append(_factor_and_solve(n, ab, rhs, f"thread {i}"))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
     for t in threads:
@@ -574,6 +588,80 @@ def test_concurrent_banded_solves_match_serial():
         assert all(np.array_equal(expected, x) for x in got)
 
 
+def _warm_window(p, g):
+    """Window 1 of a predator-prey grid at the default guess, with its
+    coarse trajectory as the start."""
+    X = default_initial_guess(p, g)
+    Y, Lam = X.states[0], X.adjoints[0]
+    lin = coarse_linearize(p, g, 1, Y, Lam)
+    states, adjoints = lin.predict(g.fine_steps)
+    start = LocalTrajectory(g.fine_step, g.fine_steps, states=states,
+                            adjoints=adjoints)
+    return Y, Lam, start
+
+
+def _count_factorizations(monkeypatch):
+    factored = []
+    original = propagators._band_factor
+
+    def counting(n, ab, context):
+        factored.append(context)
+        return original(n, ab, context)
+
+    monkeypatch.setattr(propagators, "_band_factor", counting)
+    return factored
+
+
+def test_chord_steps_reuse_the_factors_of_a_warm_window(monkeypatch):
+    # the first step cuts the residual 2.9e-2 -> 1.9e-5; three chord steps
+    # on its factors take it to 5e-14
+    p = make_lotka_volterra()
+    g = make_grid(1.0 / 3.0, 6, 50, 5)
+    Y, Lam, start = _warm_window(p, g)
+    factored = _count_factorizations(monkeypatch)
+    _, _, traj = fine_propagate(p, g, 1, Y, Lam, start=start)
+    assert factored == ["fine window 1"]
+    assert traj.newton_iterations == 4       # chord steps count
+    assert window_recurrence_residual(p, traj) <= 1e-12
+    # a cold solve of the same window factors at every step
+    factored.clear()
+    _, _, cold = fine_propagate(p, g, 1, Y, Lam)
+    assert len(factored) == cold.newton_iterations
+
+
+def test_chord_step_that_does_not_lower_the_residual_is_redone(monkeypatch):
+    p = make_lotka_volterra()
+    g = make_grid(1.0 / 3.0, 6, 50, 5)
+    Y, Lam, start = _warm_window(p, g)
+    with monkeypatch.context() as m:
+        m.setattr(propagators, "_CHORD_CONTRACTION", 0.0)     # Newton only
+        _, _, newton = fine_propagate(p, g, 1, Y, Lam, start=start)
+    assert newton.newton_iterations == 3
+    # every back-solve that does not follow a factorization (a chord step)
+    # goes the wrong way, so it raises the residual
+    factored = _count_factorizations(monkeypatch)
+    chords = []
+    solve = propagators._band_solve
+
+    def wrong_way_chords(n, ab, ipiv, rhs):
+        x = solve(n, ab, ipiv, rhs)
+        if chords.count(False) < len(factored):
+            chords.append(False)
+            return x
+        chords.append(True)
+        return -x
+
+    monkeypatch.setattr(propagators, "_band_solve", wrong_way_chords)
+    _, _, traj = fine_propagate(p, g, 1, Y, Lam, start=start)
+    # each chord step is dropped and redone as a Newton step at the same
+    # iterate: the Newton-only solve, with its factorizations
+    assert chords == [False, True, False, True, False]
+    assert len(factored) == 3
+    assert traj.newton_iterations == newton.newton_iterations
+    assert np.array_equal(traj.states, newton.states)
+    assert np.array_equal(traj.adjoints, newton.adjoints)
+
+
 def test_blocks_singular_step_names_its_window(monkeypatch):
     p = make_lotka_volterra()
     g = make_grid(1.0 / 3.0, 4, 40, 4)
@@ -582,7 +670,7 @@ def test_blocks_singular_step_names_its_window(monkeypatch):
     def singular(*args, **kwargs):
         raise SingularStepError("singular")
 
-    monkeypatch.setattr(propagators, "_banded_solve", singular)
+    monkeypatch.setattr(propagators, "_band_factor", singular)
     with pytest.raises(SingularStepError) as info:
         lin.blocks()
     assert info.value.subinterval == 3

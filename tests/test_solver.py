@@ -773,6 +773,39 @@ def test_warm_resolves_of_a_long_window_do_not_drift():
         assert np.all(np.abs(Q - Q0) <= 4 * np.spacing(np.abs(Q0)))
 
 
+def test_early_rows_factor_once_per_fine_window(monkeypatch):
+    # 12 windows of 20k fine steps at the study values: in rows 0-2 a
+    # window's Newton step cuts its residual by about 1e-4, to about 1e-10,
+    # so its second step is a chord step on the same factors
+    p = make_lotka_volterra(alpha=5e-2)
+    g = make_grid(1.0 / 3.0, 12, 20_000, 20)
+    L = g.num_subintervals
+    factored, windows = [], []
+    factor = propagators._band_factor
+
+    def counting(n, ab, context):
+        factored.append(context)
+        return factor(n, ab, context)
+
+    def counted_fine(*args, **kwargs):
+        before = len(factored)
+        out = fine_propagate(*args, **kwargs)
+        windows.append(len(factored) - before)
+        return out
+
+    monkeypatch.setattr(propagators, "_band_factor", counting)
+    monkeypatch.setattr(solver, "fine_propagate", counted_fine)
+    rep = paraopt_solve(p, g, ParaoptOptions(
+        workers=1, outer_tol=1e-13, inner_solver="assembled_direct"))
+    assert rep.converged and rep.iterations == 8
+    # the step counts of Newton steps only; the chord steps count in them
+    assert rep.newton_iterations == (
+        [(2,) * L] * 2 + [(2,) * (L - 1) + (1,)] + [(1,) * L] * 6)
+    rows = [windows[k:k + L] for k in range(0, len(windows), L)]
+    assert rows[:3] == [[1] * L] * 3
+    assert sum(windows) == 108
+
+
 def test_warm_start_rejects_a_trajectory_of_another_grid():
     p, g = lv_preset()
     _, _, other = fine_propagate(p, make_grid(1.0 / 3.0, 6, 40, 5), 1,
