@@ -19,6 +19,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 
+from .errors import InvalidParameterError
+
 try:
     from threadpoolctl import threadpool_limits
 except ImportError:  # pragma: no cover - threadpoolctl ships with sklearn
@@ -26,11 +28,22 @@ except ImportError:  # pragma: no cover - threadpoolctl ships with sklearn
 
 
 def resolve_workers(requested, num_tasks: int) -> int:
-    """Default worker count: min(num_tasks, cores), env override allowed."""
+    """Default worker count: min(num_tasks, cores), env override allowed.
+
+    Raises :class:`InvalidParameterError` when ``PARAOPT_WORKERS`` is set to
+    anything but a positive integer.
+    """
     if requested is None:
         env = os.environ.get("PARAOPT_WORKERS")
         if env is not None:
-            requested = int(env)
+            try:
+                requested = int(env)
+                if requested < 1:
+                    raise ValueError(env)
+            except ValueError:
+                raise InvalidParameterError(
+                    f"PARAOPT_WORKERS must be a positive integer, got {env!r}"
+                ) from None
     if requested is None:
         requested = min(num_tasks, os.cpu_count() or 1)
     return max(1, int(requested))

@@ -302,8 +302,7 @@ def fit_decay_exponent(errors: Sequence[float], floor_factor: float = 100.0
 
 
 def discrete_cost(problem: ControlProblem, grid: TimeGrid,
-                  X: InterfaceVector, local_tol: float = 1e-12,
-                  local_max_newton: int = 50) -> float:
+                  X: InterfaceVector) -> float:
     """Objective value of an interface solution on the fine grid.
 
     Re-propagates every window and accumulates the control energy from the
@@ -317,11 +316,8 @@ def discrete_cost(problem: ControlProblem, grid: TimeGrid,
     yT = None
     for ell in range(1, grid.num_subintervals + 1):
         _, _, traj = fine_propagate(problem, grid, ell, X.states[ell - 1],
-                                    X.adjoints[ell - 1], local_tol,
-                                    local_max_newton)
-        lam = traj.adjoints
-        c = np.stack([discrete_control(problem, tau, lam[j + 1])
-                      for j in range(traj.steps)])
+                                    X.adjoints[ell - 1])
+        c = discrete_control(problem, tau, traj.adjoints[1:])
         total += tau * float(np.sum(c * c))
         yT = traj.states[-1]
     misfit = yT - problem.y_target

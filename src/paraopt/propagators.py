@@ -9,9 +9,9 @@ the left (y(T_l) = Y), the adjoint on the right (lam(T_{l+1}) = Lam_plus).
 ``coarse_linearize`` does the same on the coarse step and keeps the local
 solution; ``CoarseLinearization.blocks`` assembles from it the four
 derivative blocks dP/dY, dP/dLam, dQ/dY, dQ/dLam of the coarse propagator
-pair (by solving the linearized problem about the stored trajectory), and
-``CoarseLinearization.predict`` interpolates the trajectory itself onto a
-finer grid.
+pair (by solving the linearized problem about the stored trajectory).
+A window Newton iteration that has not met its tolerance after
+``DEFAULT_MAX_NEWTON`` steps raises :class:`NewtonDivergenceError`.
 
 Discretization (implicit Euler both directions, one function of this module
 per branch; the linear branch follows the discretely-optimal form whose
@@ -67,7 +67,7 @@ import hashlib
 import threading
 import weakref
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -89,26 +89,20 @@ class LocalTrajectory:
 
     ``states``/``adjoints`` have shape (steps+1, n) and satisfy the window's
     discrete recurrences to the solver tolerance.  For linear problems the
-    arrays are built on first access by running the recurrences; endpoint
-    values are available without materializing.  A window start predicted
-    by the outer iteration is built on first access too, and need not
-    satisfy the recurrences.
+    arrays are built on first access by running the recurrences; the window
+    solve returns P and Q beside the trajectory, so reading those builds
+    nothing.  A window start predicted by the outer iteration is built on
+    first access too, and need not satisfy the recurrences.
     """
 
     def __init__(self, tau: float, steps: int, *, states: Optional[Array] = None,
                  adjoints: Optional[Array] = None, builder=None,
-                 right_state: Optional[Array] = None,
-                 left_adjoint: Optional[Array] = None,
                  newton_iterations: int = 0):
         self.tau = float(tau)
         self.steps = int(steps)
         self._states = states
         self._adjoints = adjoints
         self._builder = builder
-        self._right_state = right_state if right_state is not None else (
-            None if states is None else states[-1])
-        self._left_adjoint = left_adjoint if left_adjoint is not None else (
-            None if adjoints is None else adjoints[0])
         self.newton_iterations = newton_iterations
 
     def _materialize(self):
@@ -125,14 +119,6 @@ class LocalTrajectory:
     def adjoints(self) -> Array:
         self._materialize()
         return self._adjoints
-
-    @property
-    def right_state(self) -> Array:
-        return self._right_state
-
-    @property
-    def left_adjoint(self) -> Array:
-        return self._left_adjoint
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +254,18 @@ _linear_ops = _OperatorCache(maxsize=64)
 
 
 def discrete_control(problem: ControlProblem, tau: float, lam_next: Array) -> Array:
-    """Control value c_{j+1} induced by the adjoint at the step's right end.
+    """Controls c_{j+1} induced by the adjoints at the steps' right ends.
 
-    This is the one place the two discretization branches differ: the linear
-    scheme's control carries an extra application of (I - tau*A)^{-T}
-    (discretely optimal form), the nonlinear scheme couples the adjoint
-    directly.
+    ``lam_next`` holds one adjoint per row; row j of the result is its
+    control.  This is the one place the two discretization branches differ:
+    the linear scheme's control carries an extra application of
+    (I - tau*A)^{-T} (discretely optimal form), the nonlinear scheme couples
+    the adjoint directly.
     """
     B = problem.control_operator
-    if problem.is_linear:
-        ops = _linear_ops(problem, tau, 1)
-        w = ops.ST @ lam_next
-    else:
-        w = lam_next
-    return -(w if B is None else B.T @ w) / problem.alpha
-
-
-def _linear_trajectory(ops: _LinearOps, Y, Lam_plus, P, Q):
-    return LocalTrajectory(
-        ops.tau, ops.steps,
-        builder=lambda: ops.sweep(Y, Lam_plus),
-        right_state=P, left_adjoint=Q)
+    w = lam_next @ _linear_ops(problem, tau, 1).S if problem.is_linear \
+        else lam_next
+    return -(w if B is None else w @ B) / problem.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +284,19 @@ def _bandwidth(n: int) -> int:
 
 
 def _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha):
-    R1 = y[1:] - y[:-1] - tau * problem.rhs_many(y[1:]) \
+    """Window residual, row t = (R2_t, R1_t) in the layout of slot t."""
+    n = problem.dim
+    R = np.empty((len(y) - 1, 2 * n))
+    R[:, n:] = y[1:] - y[:-1] - tau * problem.rhs_many(y[1:]) \
         + tau * (lam[1:] @ bbt_over_alpha.T)
     jac = problem.jacobian_many(y[:-1])
     # difference neighbours first: lam_j - lam_{j+1} is exact, whereas
     # (lam_j - tau*...) would round at the scale of lam_j on every step,
     # noise that each Newton step carries into Q = lam_0 summed over the
     # window
-    R2 = (lam[:-1] - lam[1:]) - tau * np.einsum("tji,tj->ti", jac, lam[:-1])
-    return R1, R2
+    R[:, :n] = (lam[:-1] - lam[1:]) \
+        - tau * np.einsum("tji,tj->ti", jac, lam[:-1])
+    return R
 
 
 # slots per assembly chunk: at n = 2 a chunk's band columns (0.85 MB) and its
@@ -482,7 +463,7 @@ def _damped_update(problem, y, lam, du, step, tau, bbt_over_alpha,
                    terminal: bool):
     """Iterate ``(y, lam) + step * du`` and its residual.
 
-    Returns (residual max norm, states, adjoints, R1, R2).
+    Returns (residual max norm, states, adjoints, residual).
     """
     n = problem.dim
     du = du.reshape(len(y) - 1, 2 * n)      # slot t holds (dlam_t, dy_{t+1})
@@ -492,12 +473,12 @@ def _damped_update(problem, y, lam, du, step, tau, bbt_over_alpha,
     lam_new[:-1] += step * du[:, :n]
     if terminal:
         lam_new[-1] = y_new[-1] - problem.y_target
-    R1, R2 = _nonlinear_residual(problem, y_new, lam_new, tau, bbt_over_alpha)
-    return max(np.abs(R1).max(), np.abs(R2).max()), y_new, lam_new, R1, R2
+    R = _nonlinear_residual(problem, y_new, lam_new, tau, bbt_over_alpha)
+    return np.abs(R).max(), y_new, lam_new, R
 
 
-def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
-                            context: str, start=None):
+def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, context: str,
+                            start=None):
     """Damped Newton for one window: y_0 = Y and lam_m = Lam_plus.
 
     With ``Lam_plus=None`` the right end carries the terminal condition
@@ -531,19 +512,16 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
     min_steps = 1 if warm else 0
     ab = _band_workspace(n, m)
     ipiv = None             # set while ab holds factors a chord step may use
-    R1, R2 = _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha)
-    res = max(np.abs(R1).max(), np.abs(R2).max()) if m else 0.0
+    R = _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha)
+    res = np.abs(R).max()
     res0 = max(res, 1.0)
     iters = 0
     while res > tol or iters < min_steps:
-        if iters >= max_newton:
+        if iters >= DEFAULT_MAX_NEWTON:
             raise NewtonDivergenceError(
-                f"window Newton needed more than {max_newton} iterations "
-                f"({context}); residual {res:.3e}", residual=res)
-        rhs = np.empty((m, 2 * n))
-        rhs[:, :n] = -R2
-        rhs[:, n:] = -R1
-        rhs = rhs.ravel()
+                f"window Newton needed more than {DEFAULT_MAX_NEWTON} "
+                f"iterations ({context}); residual {res:.3e}", residual=res)
+        rhs = -R.ravel()
         best = None
         if ipiv is not None:
             # chord step, at full length; dropped unless it lowers the
@@ -572,7 +550,7 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
                 step *= 0.5
         if not best[0] <= _CHORD_CONTRACTION * res:
             ipiv = None
-        res, y, lam, R1, R2 = best
+        res, y, lam, R = best
         iters += 1
         if not np.isfinite(res) or res > 1e8 * res0:
             raise NewtonDivergenceError(
@@ -585,32 +563,25 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, max_newton,
 # public operations
 # ---------------------------------------------------------------------------
 
-def _window_steps(grid: TimeGrid, coarse: bool) -> tuple[float, int]:
-    if coarse:
-        return grid.coarse_step, grid.coarse_steps
-    return grid.fine_step, grid.fine_steps
-
-
-def _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton, coarse,
-               start=None):
+def _propagate(problem, grid, ell, Y, Lam_plus, tol, coarse, start=None):
     L = grid.num_subintervals
     if not (1 <= ell <= L):
         raise InvalidParameterError(f"sub-interval index {ell} not in 1..{L}")
     Y = np.asarray(Y, dtype=float).reshape(problem.dim)
     Lam_plus = np.asarray(Lam_plus, dtype=float).reshape(problem.dim)
-    tau, m = _window_steps(grid, coarse)
+    tau, m = (grid.coarse_step, grid.coarse_steps) if coarse \
+        else (grid.fine_step, grid.fine_steps)
     if problem.is_linear:
         ops = _linear_ops(problem, tau, m)
         P, Q = ops.propagate(Y, Lam_plus, problem.alpha)
-        traj = _linear_trajectory(ops, Y, Lam_plus, P, Q)
-        return P, Q, traj
+        return P, Q, LocalTrajectory(tau, m,
+                                     builder=lambda: ops.sweep(Y, Lam_plus))
     if start is not None and start.steps != m:
         raise InvalidParameterError(
             f"start trajectory has {start.steps} steps, window {ell} has {m}")
     kind = "coarse" if coarse else "fine"
     y, lam, iters = _solve_window_nonlinear(
-        problem, Y, Lam_plus, tau, m, tol, max_newton,
-        context=f"{kind} window {ell}",
+        problem, Y, Lam_plus, tau, m, tol, context=f"{kind} window {ell}",
         start=None if start is None else (start.states, start.adjoints))
     traj = LocalTrajectory(tau, m, states=y, adjoints=lam,
                            newton_iterations=iters)
@@ -620,7 +591,6 @@ def _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton, coarse,
 def fine_propagate(problem: ControlProblem, grid: TimeGrid, ell: int,
                    Y: Array, Lam_plus: Array,
                    tol: float = DEFAULT_LOCAL_TOL,
-                   max_newton: int = DEFAULT_MAX_NEWTON,
                    start: Optional[LocalTrajectory] = None):
     """Solve window ``ell`` on the fine step; returns (P, Q, trajectory).
 
@@ -629,8 +599,8 @@ def fine_propagate(problem: ControlProblem, grid: TimeGrid, ell: int,
     Newton iteration starts from it and takes at least one step.  Linear
     windows are closed-form and ignore it.
     """
-    return _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton,
-                      coarse=False, start=start)
+    return _propagate(problem, grid, ell, Y, Lam_plus, tol, coarse=False,
+                      start=start)
 
 
 def _interpolate_nodes(values: Array, steps: int) -> Array:
@@ -653,34 +623,25 @@ class CoarseLinearization:
     """Coarse window solution plus the linearization data built on it."""
 
     problem: ControlProblem
-    grid: TimeGrid
     subinterval_index: int
     trajectory: LocalTrajectory
-    _blocks: dict = field(default_factory=dict, repr=False)
 
     def blocks(self, gauss_newton: bool = False):
         """The four derivative matrices (P_y, P_lam, Q_y, Q_lam).
 
-        Built once per variant: in closed form for linear problems, otherwise
-        from one banded solve of the linearized window system about
-        ``trajectory`` for the 2n unit boundary data.  With ``gauss_newton``
-        the second-derivative coupling of the adjoint equation is dropped.
-        A linear problem's blocks do not depend on the window or the
-        variant: every window gets the same read-only arrays of its operator
-        set (``_LinearOps.blocks``), not copies.
+        In closed form for linear problems, otherwise from one banded solve
+        of the linearized window system about ``trajectory`` for the 2n unit
+        boundary data, built anew on every call.  With ``gauss_newton`` the
+        second-derivative coupling of the adjoint equation is dropped.  A
+        linear problem's blocks do not depend on the window or the variant:
+        every window gets the same read-only arrays of its operator set
+        (``_LinearOps.blocks``), not copies.
         """
-        key = bool(gauss_newton)
-        if key not in self._blocks:
-            self._blocks[key] = (
-                _linear_ops(self.problem, self.trajectory.tau,
-                            self.trajectory.steps).blocks
-                if self.problem.is_linear else self._nonlinear_blocks(key))
-        return self._blocks[key]
-
-    def _nonlinear_blocks(self, gauss_newton: bool):
-        n = self.problem.dim
         traj = self.trajectory
         m, tau = traj.steps, traj.tau
+        if self.problem.is_linear:
+            return _linear_ops(self.problem, tau, m).blocks
+        n = self.problem.dim
         bbt_over_alpha = self.problem.bbt() / self.problem.alpha
         ab = _assemble_banded(_band_workspace(n, m), self.problem,
                               traj.states, traj.adjoints, tau,
@@ -710,23 +671,14 @@ class CoarseLinearization:
         return (bottom[:, :n].copy(), bottom[:, n:].copy(),
                 top[:, :n].copy(), top[:, n:].copy())
 
-    def predict(self, steps: int):
-        """``trajectory`` interpolated linearly in normalized time onto
-        ``steps`` uniform steps; returns (states, adjoints)."""
-        return (_interpolate_nodes(self.trajectory.states, steps),
-                _interpolate_nodes(self.trajectory.adjoints, steps))
-
 
 def coarse_linearize(problem: ControlProblem, grid: TimeGrid, ell: int,
                      Y: Array, Lam_plus: Array,
-                     tol: float = DEFAULT_LOCAL_TOL,
-                     max_newton: int = DEFAULT_MAX_NEWTON
-                     ) -> CoarseLinearization:
+                     tol: float = DEFAULT_LOCAL_TOL) -> CoarseLinearization:
     """Solve window ``ell`` on the coarse step and keep the trajectory."""
-    _, _, traj = _propagate(problem, grid, ell, Y, Lam_plus, tol, max_newton,
-                            coarse=True)
-    return CoarseLinearization(problem=problem, grid=grid,
-                               subinterval_index=ell, trajectory=traj)
+    _, _, traj = _propagate(problem, grid, ell, Y, Lam_plus, tol, coarse=True)
+    return CoarseLinearization(problem=problem, subinterval_index=ell,
+                               trajectory=traj)
 
 
 def window_recurrence_residual(problem: ControlProblem,
@@ -739,6 +691,5 @@ def window_recurrence_residual(problem: ControlProblem,
         Rl = lam[:-1] - lam[1:] @ ops.S  # lam_j = S^T lam_{j+1}
         Ry = y[1:] - y[:-1] @ ops.S.T + lam[1:] @ ops.coupling.T
         return max(np.abs(Rl).max(), np.abs(Ry).max())
-    R1, R2 = _nonlinear_residual(problem, y, lam, tau,
-                                 problem.bbt() / problem.alpha)
-    return max(np.abs(R1).max(), np.abs(R2).max())
+    return np.abs(_nonlinear_residual(problem, y, lam, tau,
+                                      problem.bbt() / problem.alpha)).max()

@@ -34,7 +34,8 @@ from .errors import (InvalidParameterError, NewtonDivergenceError,
                      NoConvergenceError, SingularMatrixError,
                      SingularStepError)
 from .model import ControlProblem, InterfaceVector, TimeGrid
-from .propagators import (LocalTrajectory, _interpolate_nodes, _linear_ops,
+from .propagators import (DEFAULT_LOCAL_TOL, LocalTrajectory,
+                          _interpolate_nodes, _linear_ops,
                           _solve_window_nonlinear, coarse_linearize,
                           fine_propagate, window_recurrence_residual)
 
@@ -57,15 +58,14 @@ class ParaoptOptions:
     inner_solver: str = INNER_KRYLOV
     inner_tol: float = 1e-10
     variant: str = VARIANT_NEWTON
-    local_tol: float = 1e-12
-    local_max_newton: int = 50
+    local_tol: float = DEFAULT_LOCAL_TOL
     workers: Optional[int] = None           # None: min(L, cores)
 
     def __post_init__(self):
         if self.outer_tol <= 0 or self.inner_tol <= 0 or self.local_tol <= 0:
             raise InvalidParameterError("tolerances must be positive")
-        if self.max_outer < 1 or self.local_max_newton < 1:
-            raise InvalidParameterError("iteration limits must be >= 1")
+        if self.max_outer < 1:
+            raise InvalidParameterError("max_outer must be >= 1")
         if self.inner_solver not in (INNER_KRYLOV, INNER_DIRECT):
             raise InvalidParameterError(f"unknown inner solver {self.inner_solver!r}")
         if self.variant not in (VARIANT_NEWTON, VARIANT_GAUSS_NEWTON):
@@ -124,14 +124,18 @@ def default_initial_guess(problem: ControlProblem,
     return InterfaceVector(states, np.ones((grid.num_subintervals, problem.dim)))
 
 
-def _window_task(solve, phase, problem, grid, X, tol, max_newton,
-                 starts=None):
+def _check_fits(problem, grid, X, name):
+    if X.num_subintervals != grid.num_subintervals or X.dim != problem.dim:
+        raise InvalidParameterError(f"{name} does not fit the grid")
+
+
+def _window_task(solve, phase, problem, grid, X, tol, starts=None):
     """Task solving window ell from X; a failure names the window and phase."""
     def task(ell):
         warm = {} if starts is None else {"start": starts[ell - 1]}
         try:
             return solve(problem, grid, ell, X.states[ell - 1],
-                         X.adjoints[ell - 1], tol, max_newton, **warm)
+                         X.adjoints[ell - 1], tol, **warm)
         except (NewtonDivergenceError, SingularStepError) as exc:
             exc.subinterval = ell
             exc.phase = phase
@@ -143,13 +147,13 @@ def _fine_starts(problem, grid, lins, trajs=None, old_lins=None):
     """Predicted starts of the L fine windows; None for a linear problem.
 
     Without ``trajs`` (the first residual), each window starts from its
-    coarse trajectory in ``lins`` interpolated onto the fine nodes
-    (:meth:`CoarseLinearization.predict`).  Otherwise ``trajs`` and
-    ``old_lins`` are the fine trajectories and the coarse linearizations at
-    the previous iterate, and each window starts from the Parareal update
-    F_old + G_new - G_old: its fine trajectory plus the change of its
-    coarse trajectory from ``old_lins`` to ``lins``, interpolated onto the
-    fine nodes and added in place, so the old trajectory is not read again.
+    coarse trajectory in ``lins`` interpolated onto the fine nodes.
+    Otherwise ``trajs`` and ``old_lins`` are the fine trajectories and the
+    coarse linearizations at the previous iterate, and each window starts
+    from the Parareal update F_old + G_new - G_old: its fine trajectory plus
+    the change of its coarse trajectory from ``old_lins`` to ``lins``,
+    interpolated onto the fine nodes and added in place, so the old
+    trajectory is not read again.
     The starts are built on first access, inside each window's task, which
     sets the window's entry of ``old_lins`` to None once it is read.
     """
@@ -158,13 +162,14 @@ def _fine_starts(problem, grid, lins, trajs=None, old_lins=None):
     steps = grid.fine_steps
 
     def start(ell):
-        lin = lins[ell - 1]
+        new = lins[ell - 1].trajectory
         if trajs is None:
             def build():
-                return lin.predict(steps)
+                return (_interpolate_nodes(new.states, steps),
+                        _interpolate_nodes(new.adjoints, steps))
         else:
             def build():
-                new, old = lin.trajectory, old_lins[ell - 1].trajectory
+                old = old_lins[ell - 1].trajectory
                 old_lins[ell - 1] = None
                 y, lam = trajs[ell - 1].states, trajs[ell - 1].adjoints
                 y += _interpolate_nodes(new.states - old.states, steps)
@@ -176,8 +181,8 @@ def _fine_starts(problem, grid, lins, trajs=None, old_lins=None):
 
 
 def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
-             tol: float = 1e-12, max_newton: int = 50,
-             workers: int = 1, starts: Optional[list] = None):
+             tol: float = DEFAULT_LOCAL_TOL, workers: int = 1,
+             starts: Optional[list] = None):
     """Matching-condition residual F(X) and the window trajectories.
 
     ``starts`` holds L trajectories on the fine grid, such as the predicted
@@ -186,13 +191,11 @@ def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
     """
     L = grid.num_subintervals
     n = problem.dim
-    if X.num_subintervals != L or X.dim != n:
-        raise InvalidParameterError("interface vector does not fit the grid")
+    _check_fits(problem, grid, X, "interface vector")
     if starts is not None and len(starts) != L:
         raise InvalidParameterError("need one start trajectory per window")
     results = parallel_map(
-        _window_task(fine_propagate, "fine", problem, grid, X, tol,
-                     max_newton, starts),
+        _window_task(fine_propagate, "fine", problem, grid, X, tol, starts),
         range(1, L + 1), workers)
     F = np.empty((2 * L + 1, n))
     F[0] = X.states[0] - problem.y_init
@@ -363,7 +366,6 @@ def verify_residual(problem: ControlProblem, grid: TimeGrid,
     """
     try:
         F, trajs = residual(problem, grid, X, tol=options.local_tol / 10.0,
-                            max_newton=options.local_max_newton + 10,
                             workers=1)
     except (NewtonDivergenceError, SingularStepError) as exc:
         # the window already named itself; add the phase
@@ -395,9 +397,14 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     divergence guard hits.  Raises :class:`NoConvergenceError`, with the
     report so far attached, when a GMRES inner solve ends above
     ``inner_tol``; its step is not taken.  To re-check the final residual
-    with fresh windows, call :func:`verify_residual`.
+    with fresh windows, call :func:`verify_residual`.  Raises
+    :class:`InvalidParameterError` when ``x0`` or ``reference`` does not fit
+    the grid.
     """
     options = options or ParaoptOptions()
+    for name, V in (("x0", x0), ("reference", reference)):
+        if V is not None:
+            _check_fits(problem, grid, V, name)
     L = grid.num_subintervals
     workers = resolve_workers(options.workers, L)
     X = default_initial_guess(problem, grid) if x0 is None else x0.copy()
@@ -432,13 +439,12 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     def linearize(X):
         return parallel_map(
             _window_task(coarse_linearize, "coarse", problem, grid, X,
-                         options.local_tol, options.local_max_newton),
+                         options.local_tol),
             range(1, L + 1), workers)
 
     t0 = time.perf_counter()
     lins = linearize(X)
-    F, trajs = residual(problem, grid, X, options.local_tol,
-                        options.local_max_newton, workers,
+    F, trajs = residual(problem, grid, X, options.local_tol, workers,
                         starts=_fine_starts(problem, grid, lins))
     record(F, trajs, time.perf_counter() - t0)
 
@@ -458,8 +464,8 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
         X = InterfaceVector.from_stacked(X.to_stacked() + dX, L, problem.dim)
         old_lins, lins = lins, linearize(X)
         F, trajs = residual(
-            problem, grid, X, options.local_tol, options.local_max_newton,
-            workers, starts=_fine_starts(problem, grid, lins, trajs, old_lins))
+            problem, grid, X, options.local_tol, workers,
+            starts=_fine_starts(problem, grid, lins, trajs, old_lins))
         inner_iterations.append(stats.iterations)
         record(F, trajs, time.perf_counter() - t0)
         converged = residuals[-1] <= options.outer_tol
@@ -480,7 +486,7 @@ def reference_solve(problem: ControlProblem, grid: TimeGrid,
     on the fine step and samples it at the interface times of ``grid``.
     Nonlinear problems take one damped banded Newton solve of all fine steps
     with the terminal condition built in (tolerance ``local_tol``, at most
-    ``local_max_newton`` steps).  Linear problems take the outer iteration on
+    ``DEFAULT_MAX_NEWTON`` steps).  Linear problems take the outer iteration on
     the one-window grid with the direct inner solve (the system has only 3n
     rows), whose exact derivative blocks converge in one step, and are
     restricted with the closed-form window maps.  Raises
@@ -495,8 +501,7 @@ def reference_solve(problem: ControlProblem, grid: TimeGrid,
         if not problem.is_linear:
             y, lam, _ = _solve_window_nonlinear(
                 problem, problem.y_init, None, single.fine_step,
-                single.fine_steps, options.local_tol,
-                options.local_max_newton, context="reference")
+                single.fine_steps, options.local_tol, context="reference")
             idx = np.arange(L + 1) * N
             return InterfaceVector(y[idx], lam[idx[1:]])
         # an inexact GMRES solve would leave |F| at inner_tol * |F(X^0)| and

@@ -177,3 +177,11 @@ def test_workers_env_default(tmp_path, monkeypatch):
     monkeypatch.delenv("PARAOPT_WORKERS")
     assert resolve_workers(None, 8) == min(8, os.cpu_count() or 1)
     assert resolve_workers(3, 8) == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_malformed_workers_env_exit_6(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("PARAOPT_WORKERS", value)
+    assert run(tmp_path, "solve", "--preset=dahlquist") == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"PARAOPT_WORKERS must be a positive integer, got {value!r}" in err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from paraopt import InvalidParameterError
+from paraopt import (InvalidParameterError, default_initial_guess,
+                     fine_propagate, make_grid, make_heat_1d,
+                     make_lotka_volterra, propagators)
 from paraopt import experiments as ex
 
 
@@ -128,3 +130,42 @@ def test_invariant_suites_small():
     assert ex.appendix_grid(25, 25).passed
     assert ex.bound_suite(120, seed=7).passed
     assert ex.oracle_equivalence(Ls=(1, 2, 4)).passed
+
+
+def _per_step_cost(problem, grid, X):
+    """The discrete objective with one control evaluation per fine step."""
+    tau = grid.fine_step
+    B = problem.control_operator
+    total = 0.0
+    for ell in range(1, grid.num_subintervals + 1):
+        _, _, traj = fine_propagate(problem, grid, ell, X.states[ell - 1],
+                                    X.adjoints[ell - 1])
+        controls = []
+        for lam in traj.adjoints[1:]:
+            w = lam
+            if problem.is_linear:      # c = -B^T (I - tau A)^{-T} lam / alpha
+                w = propagators._linear_ops(problem, tau, 1).ST @ lam
+            controls.append(-(w if B is None else B.T @ w) / problem.alpha)
+        c = np.stack(controls)
+        total += tau * float(np.sum(c * c))
+        yT = traj.states[-1]
+    misfit = yT - problem.y_target
+    return 0.5 * float(misfit @ misfit) + 0.5 * problem.alpha * total
+
+
+def test_discrete_cost_matches_per_step_controls_nonlinear():
+    p = make_lotka_volterra(alpha=5e-2)
+    g = make_grid(1.0 / 3.0, 3, 200, 20)
+    X = default_initial_guess(p, g)
+    assert ex.discrete_cost(p, g, X) == _per_step_cost(p, g, X)
+
+
+def test_discrete_cost_matches_per_step_controls_linear():
+    # the controls of a window are one product of its adjoint rows with S
+    # and then B, so they round apart from the per-step products
+    p = make_heat_1d(n=12)
+    assert p.control_operator is not None
+    g = make_grid(1e-2, 3, 40, 8)
+    X = default_initial_guess(p, g)
+    expected = _per_step_cost(p, g, X)
+    assert abs(ex.discrete_cost(p, g, X) - expected) <= 1e-14 * expected

@@ -11,7 +11,7 @@ from paraopt import (ControlProblem, ParaoptOptions, SingularStepError,
                      make_lotka_volterra, paraopt_solve, propagators)
 from paraopt.propagators import (LocalTrajectory, _assemble_banded,
                                  _band_factor, _band_solve, _band_workspace,
-                                 _nonlinear_residual,
+                                 _interpolate_nodes, _nonlinear_residual,
                                  window_recurrence_residual)
 
 
@@ -69,8 +69,8 @@ def test_coarse_equals_fine_when_steps_match():
     Y, Lam = np.array([22.0, 11.0]), np.array([0.3, -0.2])
     P, Q, traj = fine_propagate(p, g, 3, Y, Lam)
     lin = coarse_linearize(p, g, 3, Y, Lam)
-    assert np.allclose(lin.trajectory.right_state, P, atol=1e-12)
-    assert np.allclose(lin.trajectory.left_adjoint, Q, atol=1e-12)
+    assert np.allclose(lin.trajectory.states[-1], P, atol=1e-12)
+    assert np.allclose(lin.trajectory.adjoints[0], Q, atol=1e-12)
     assert np.allclose(lin.trajectory.states, traj.states, atol=1e-12)
 
 
@@ -78,8 +78,16 @@ def test_coarse_linearize_dahlquist_single_step():
     p = make_dahlquist(-1.0, 1.0)
     g = make_grid(1.0, 1, 1, 1)
     lin = coarse_linearize(p, g, 1, [1.0], [2.0])
-    assert np.isclose(lin.trajectory.right_state[0], 0.0, atol=1e-14)
-    assert np.isclose(lin.trajectory.left_adjoint[0], 1.0)
+    assert np.isclose(lin.trajectory.states[-1, 0], 0.0, atol=1e-14)
+    assert np.isclose(lin.trajectory.adjoints[0, 0], 1.0)
+
+
+def coarse_propagate(p, g, ell, Y, Lam):
+    """(P, Q) of window ``ell`` on ``g``'s coarse step, by fine_propagate on
+    a grid whose fine step it is."""
+    coarse = make_grid(g.horizon, g.num_subintervals, g.coarse_steps,
+                       g.coarse_steps)
+    return fine_propagate(p, coarse, ell, Y, Lam)[:2]
 
 
 def derivative_action(lin, dY, dLam, gauss_newton=False):
@@ -106,10 +114,11 @@ def test_derivative_action_superposition_linear():
     Y1, L1, Y2, L2 = rng.standard_normal((4, 6))
     lin1 = coarse_linearize(p, g, 1, Y1, L1)
     lin2 = coarse_linearize(p, g, 2, Y2, L2)
-    for lin, Y, Lam in ((lin1, Y1, L1), (lin2, Y2, L2)):
+    for ell, lin, Y, Lam in ((1, lin1, Y1, L1), (2, lin2, Y2, L2)):
         dP, dQ = derivative_action(lin, Y, Lam)
-        assert np.allclose(dP, lin.trajectory.right_state, atol=1e-12)
-        assert np.allclose(dQ, lin.trajectory.left_adjoint, atol=1e-12)
+        P, Q = coarse_propagate(p, g, ell, Y, Lam)
+        assert np.allclose(dP, P, atol=1e-12)
+        assert np.allclose(dQ, Q, atol=1e-12)
     dY, dL = rng.standard_normal((2, 6))
     a1 = derivative_action(lin1, dY, dL)
     a2 = derivative_action(lin2, dY, dL)
@@ -121,15 +130,16 @@ def test_derivative_action_finite_difference_consistency():
     g = make_grid(1.0 / 3.0, 5, 200, 20)
     Y, Lam = np.array([30.0, 12.0]), np.array([1.0, 1.0])
     lin = coarse_linearize(p, g, 2, Y, Lam)
+    P, Q = coarse_propagate(p, g, 2, Y, Lam)
     eps = 1e-6
     rng = np.random.default_rng(4)
     for _ in range(3):
         dY = rng.standard_normal(2)
         dL = rng.standard_normal(2)
         dP, dQ = derivative_action(lin, dY, dL)
-        lin2 = coarse_linearize(p, g, 2, Y + eps * dY, Lam + eps * dL)
-        fdP = (lin2.trajectory.right_state - lin.trajectory.right_state) / eps
-        fdQ = (lin2.trajectory.left_adjoint - lin.trajectory.left_adjoint) / eps
+        P2, Q2 = coarse_propagate(p, g, 2, Y + eps * dY, Lam + eps * dL)
+        fdP = (P2 - P) / eps
+        fdQ = (Q2 - Q) / eps
         scale = 1.0 + max(np.abs(dP).max(), np.abs(dQ).max())
         assert np.abs(dP - fdP).max() <= 1e-4 * scale
         assert np.abs(dQ - fdQ).max() <= 1e-4 * scale
@@ -139,9 +149,10 @@ def test_predict_interpolates_onto_any_fine_grid():
     p = make_lotka_volterra()
     g = make_grid(1.0 / 3.0, 3, 70, 7)
     lin = coarse_linearize(p, g, 1, p.y_init, [1.0, 1.0])
+    coarse = (lin.trajectory.states, lin.trajectory.adjoints)
     for steps in (70, 23):        # a multiple of 7 and not one
-        for f, c in zip(lin.predict(steps),
-                        (lin.trajectory.states, lin.trajectory.adjoints)):
+        for c in coarse:
+            f = _interpolate_nodes(c, steps)
             assert f.shape == (steps + 1, 2)
             assert np.array_equal(f[0], c[0]) and np.array_equal(f[-1], c[-1])
             t = np.linspace(0.0, 1.0, steps + 1)
@@ -149,8 +160,8 @@ def test_predict_interpolates_onto_any_fine_grid():
                 expected = np.interp(t, np.linspace(0.0, 1.0, 8), c[:, i])
                 assert np.allclose(f[:, i], expected, rtol=1e-14, atol=0)
     # the fine nodes that coincide with coarse ones carry their values
-    assert np.array_equal(lin.predict(70)[0][::10], lin.trajectory.states)
-    assert np.array_equal(lin.predict(70)[1][::10], lin.trajectory.adjoints)
+    for c in coarse:
+        assert np.array_equal(_interpolate_nodes(c, 70)[::10], c)
 
 
 def test_derivative_action_is_exact_jacobian_for_linear_fine_grid():
@@ -330,6 +341,29 @@ def test_operator_cache_builds_once_under_contention():
     assert info.hits == threads_n * rounds - info.misses
 
 
+def test_operator_cache_evicts_the_least_recently_used():
+    cache = propagators._OperatorCache(maxsize=2)
+    a, b, c = (make_heat_1d(n=6, alpha=x) for x in (1.0, 2.0, 3.0))
+
+    def get(problem):
+        ops = cache(problem, 0.01, 4)
+        assert cache.cache_info().currsize <= cache.maxsize
+        return ops
+
+    ops_a, ops_b = get(a), get(b)
+    assert get(a) is ops_a            # a hit: b is now the least recent
+    ops_c = get(c)                    # evicts b
+    assert get(a) is ops_a and get(c) is ops_c
+    assert cache.cache_info() == (3, 3, 2, 2)   # hits, misses, max, size
+    again = get(b)                    # evicted: a miss that builds it anew
+    assert again is not ops_b and np.array_equal(again.SN, ops_b.SN)
+    assert cache.cache_info() == (3, 4, 2, 2)
+    # b evicted a, the less recent of a and c
+    assert get(c) is ops_c
+    assert get(a) is not ops_a
+    assert cache.cache_info() == (4, 5, 2, 2)
+
+
 def test_singular_step_raises():
     # 1 - tau*sigma = 0 for sigma=1, tau=1 (growth problem, algebraic check)
     p = make_dahlquist(1.0, 1.0)
@@ -428,8 +462,7 @@ def _check_predator_prey_assembly(gauss_newton, terminal, m):
         ll[:-1], yy[1:] = slots[:, :n], slots[:, n:]
         if terminal:
             ll[-1] = yy[-1] - p.y_target
-        R1, R2 = _nonlinear_residual(p, yy, ll, tau, bbt)
-        return np.hstack([R2, R1]).ravel()
+        return _nonlinear_residual(p, yy, ll, tau, bbt).ravel()
 
     u0 = np.hstack([lam[:-1], y[1:]]).ravel()
     eps = 1e-6
@@ -594,9 +627,10 @@ def _warm_window(p, g):
     X = default_initial_guess(p, g)
     Y, Lam = X.states[0], X.adjoints[0]
     lin = coarse_linearize(p, g, 1, Y, Lam)
-    states, adjoints = lin.predict(g.fine_steps)
-    start = LocalTrajectory(g.fine_step, g.fine_steps, states=states,
-                            adjoints=adjoints)
+    start = LocalTrajectory(
+        g.fine_step, g.fine_steps,
+        states=_interpolate_nodes(lin.trajectory.states, g.fine_steps),
+        adjoints=_interpolate_nodes(lin.trajectory.adjoints, g.fine_steps))
     return Y, Lam, start
 
 

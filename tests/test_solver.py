@@ -68,6 +68,29 @@ def test_residual_rejects_mismatched_vector():
         residual(p, g, InterfaceVector(np.zeros((4, 1)), np.zeros((3, 1))))
 
 
+@pytest.mark.parametrize("misfit", [
+    dict(x0=InterfaceVector(np.zeros((3, 1)), np.zeros((2, 1)))),
+    dict(x0=InterfaceVector(np.zeros((5, 2)), np.zeros((4, 2)))),
+    dict(reference=InterfaceVector(np.zeros((3, 1)), np.zeros((2, 1)))),
+], ids=["x0_too_few_windows", "x0_wrong_dimension", "reference_misfit"])
+def test_solve_rejects_misfit_vectors_before_any_window(monkeypatch, misfit):
+    # checked before the first coarse linearization: without the check the
+    # worker tasks fail with raw IndexError / reshape or broadcast errors
+    p, g = dahlquist_setup(L=4)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return coarse_linearize(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "coarse_linearize", counting)
+    name = next(iter(misfit))
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{name} does not fit the grid$"):
+        paraopt_solve(p, g, ParaoptOptions(workers=2), **misfit)
+    assert calls == []
+
+
 # -- approximate Jacobian application ----------------------------------------
 
 def make_linearizations(p, g, X):
@@ -415,8 +438,8 @@ def test_verification_failure_names_its_phase_and_window(monkeypatch):
     p = make_lotka_volterra()
     g = make_grid(1.0 / 3.0, 3, 40, 4)
     X = default_initial_guess(p, g)
-    # a tolerance no window meets
-    opts = ParaoptOptions(local_tol=1e-300, local_max_newton=1)
+    # a tolerance no window meets: window 1 runs out of Newton steps
+    opts = ParaoptOptions(local_tol=1e-300)
     with pytest.raises(NewtonDivergenceError, match="verification") as info:
         verify_residual(p, g, X, opts)
     assert info.value.subinterval == 1
@@ -529,11 +552,11 @@ def test_reference_solve_lotka_volterra_long_horizon_converges():
     assert np.abs(F).max() <= g.total_fine_steps * ParaoptOptions().local_tol
 
 
-def test_reference_solve_reports_newton_failure():
+def test_reference_solve_reports_newton_failure(monkeypatch):
     p = make_lotka_volterra()
+    monkeypatch.setattr(propagators, "DEFAULT_MAX_NEWTON", 1)
     with pytest.raises(NoConvergenceError) as info:
-        reference_solve(p, make_grid(1.0 / 3.0, 4, 100, 10),
-                        ParaoptOptions(local_max_newton=1))
+        reference_solve(p, make_grid(1.0 / 3.0, 4, 100, 10))
     assert isinstance(info.value.__cause__, NewtonDivergenceError)
     assert info.value.__cause__.phase == "reference"
 
