@@ -46,7 +46,7 @@ def resolve_workers(requested, num_tasks: int) -> int:
                 ) from None
     if requested is None:
         requested = min(num_tasks, os.cpu_count() or 1)
-    return max(1, int(requested))
+    return int(requested)
 
 
 @contextmanager

@@ -353,10 +353,12 @@ def _run_analyze(cfg):
 def _run_solve(cfg):
     preset = cfg["preset"]
     if preset == "dahlquist":
-        problem = make_dahlquist(cfg["sigma"], cfg["alpha"] or 1.0)
+        problem = make_dahlquist(
+            cfg["sigma"], cfg["alpha"] if cfg["alpha"] is not None else 1.0)
         T = cfg["T"] if cfg["T"] is not None else 1.0
     elif preset == "heat":
-        problem = make_heat_1d(alpha=cfg["alpha"] or 1e-4)
+        problem = make_heat_1d(
+            alpha=cfg["alpha"] if cfg["alpha"] is not None else 1e-4)
         T = cfg["T"] if cfg["T"] is not None else 1e-2
     else:
         raise CliError(EXIT_USAGE,

@@ -63,7 +63,6 @@ class ExperimentResult:
     params: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
     checks: list = field(default_factory=list)
-    reports: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -162,51 +161,27 @@ def scalar_sweeps(mode: str, sigma: float = -16.0,
     """
     if mode not in SWEEP_MODES:
         raise InvalidParameterError(f"unknown sweep mode {mode!r}")
-    rows = []
+    # (key, L, sub_length, coarse_dt, fine_dt) of each point
     if mode == "vary_fine":
-        T, L = 1.0, 10
-        DT = T / L
-        coarse_dt = 1e-4
-        for k in range(1, 16):
-            fine_dt = coarse_dt / 2 ** k
-            rho, s = la.analysis_point(sigma, alpha, L, DT, coarse_dt,
-                                       fine_dt, strict=True)
-            rows.append((k, sigma, alpha, L, DT, coarse_dt, fine_dt, rho,
-                         s.rho_bound, s.global_bound))
+        points = [(k, 10, 0.1, 1e-4, 1e-4 / 2 ** k) for k in range(1, 16)]
     elif mode == "vary_coarse":
-        T, L = 1.0, 10
-        DT = T / L
-        fine_dt = 1e-2 * 2.0 ** -20
-        for k in range(0, 21):
-            coarse_dt = 2.0 ** -k
-            rho, s = la.analysis_point(sigma, alpha, L, DT, coarse_dt,
-                                       fine_dt, strict=False)
-            rows.append((k, sigma, alpha, L, DT, coarse_dt, fine_dt, rho,
-                         s.rho_bound, s.global_bound))
+        points = [(k, 10, 0.1, 2.0 ** -k, 1e-2 * 2.0 ** -20)
+                  for k in range(0, 21)]
     elif mode == "fixed_ratio":
-        T, L = 1.0, 10
-        DT = T / L
-        for k in range(1, 16):
-            coarse_dt = 2.0 ** -k
-            fine_dt = 1e-2 * coarse_dt
-            rho, s = la.analysis_point(sigma, alpha, L, DT, coarse_dt,
-                                       fine_dt, strict=False)
-            rows.append((k, sigma, alpha, L, DT, coarse_dt, fine_dt, rho,
-                         s.rho_bound, s.global_bound))
+        points = [(k, 10, 0.1, 2.0 ** -k, 1e-2 * 2.0 ** -k)
+                  for k in range(1, 16)]
     else:
-        fine_per_coarse = 10 ** 4
+        points = []
         for L in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-            if mode == "scal_fixed_T":
-                T = 1.0
-            else:
-                T = float(L)
-            DT = T / L
-            coarse_dt = DT
-            fine_dt = DT / fine_per_coarse
-            rho, s = la.analysis_point(sigma, alpha, L, DT, coarse_dt,
-                                       fine_dt, strict=True)
-            rows.append((L, sigma, alpha, L, DT, coarse_dt, fine_dt, rho,
-                         s.rho_bound, s.global_bound))
+            T = 1.0 if mode == "scal_fixed_T" else float(L)
+            points.append((L, L, T / L, T / L, T / L / 10 ** 4))
+    strict = mode not in ("vary_coarse", "fixed_ratio")
+    rows = []
+    for key, L, DT, coarse_dt, fine_dt in points:
+        rho, s = la.analysis_point(sigma, alpha, L, DT, coarse_dt, fine_dt,
+                                   strict=strict)
+        rows.append((key, sigma, alpha, L, DT, coarse_dt, fine_dt, rho,
+                     s.rho_bound, s.global_bound))
     result = ExperimentResult(f"sweep_{mode}",
                               params=dict(mode=mode, sigma=sigma, alpha=alpha))
     result.artifacts.append(Artifact(f"sweep_{mode}", _SWEEP_COLUMNS, rows))
@@ -263,8 +238,7 @@ def lotka_volterra_run(T: float = 1.0 / 3.0, alpha: float = 5e-2, L: int = 10,
                     fine_total=fine_total,
                     fine_steps=grid.fine_steps, coarse_steps=grid.coarse_steps,
                     outer_iterations=report.iterations,
-                    converged=report.converged),
-        reports={"run": report})
+                    converged=report.converged))
     result.artifacts.append(_history_artifact("history", report))
     if not report.converged:
         raise NoConvergenceError(
@@ -353,7 +327,6 @@ def lotka_volterra_minima(T: float = 1.0, L: int = 10,
                                      report=report)
         cost = discrete_cost(problem, grid, report.final)
         costs.append(cost)
-        result.reports[variant] = report
         result.checks.append(GoldenCheck(
             name=f"cost_{variant}", value=2.0 * cost, expected=expected,
             rtol=0.1, note="unhalved quadratic form at the critical point"))
@@ -410,8 +383,7 @@ def heat_run(delta_t: float = 1e-7, r: float = 1e-1, alpha: float = 1e-4,
                     fine_steps=N_int, coarse_steps=mc_int,
                     modes_valid=modes_valid, max_mode_bound=worst,
                     outer_iterations=report.iterations,
-                    converged=report.converged),
-        reports={"run": report})
+                    converged=report.converged))
     result.artifacts.append(_history_artifact("history", report))
     result.artifacts.append(Artifact("mode_bounds",
                                      ["mode", "sigma", "rho_bound"],

@@ -71,7 +71,6 @@ class ControlProblem:
     rhs_many: Optional[Callable[[Array], Array]] = None
     jacobian_many: Optional[Callable[[Array], Array]] = None
     hess_coupling_many: Optional[Callable[[Array, Array], Array]] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -148,11 +147,6 @@ class TimeGrid:
         return self.sub_length / self.coarse_steps
 
     @property
-    def ratio(self) -> float:
-        """r = fine_step / coarse_step = coarse_steps / fine_steps."""
-        return self.coarse_steps / self.fine_steps
-
-    @property
     def total_fine_steps(self) -> int:
         return self.num_subintervals * self.fine_steps
 
@@ -214,15 +208,12 @@ class InterfaceVector:
 def make_dahlquist(sigma: float, alpha: float, y_init: float = 1.0,
                    y_target: float = 0.0) -> ControlProblem:
     """Scalar test problem ydot = sigma*y + c."""
-    if not (alpha > 0):
-        raise InvalidParameterError("alpha must be positive")
     return ControlProblem(
         dim=1,
         alpha=float(alpha),
         y_init=np.array([float(y_init)]),
         y_target=np.array([float(y_target)]),
         linear_matrix=np.array([[float(sigma)]]),
-        name="dahlquist",
     )
 
 
@@ -237,8 +228,6 @@ def make_lotka_volterra(a1: float = 10.0, b1: float = 0.2, a2: float = 0.2,
     for nm, v in (("a1", a1), ("b1", b1), ("a2", a2), ("b2", b2)):
         if not (v > 0):
             raise InvalidParameterError(f"{nm} must be positive")
-    if not (alpha > 0):
-        raise InvalidParameterError("alpha must be positive")
 
     def rhs_many(Y):
         return np.stack([a1 * Y[:, 0] - b1 * Y[:, 0] * Y[:, 1],
@@ -265,7 +254,6 @@ def make_lotka_volterra(a1: float = 10.0, b1: float = 0.2, a2: float = 0.2,
         y_target=np.asarray(y_target, dtype=float),
         rhs_many=rhs_many, jacobian_many=jacobian_many,
         hess_coupling_many=hess_coupling_many,
-        name="lotka_volterra",
     )
 
 
@@ -291,8 +279,6 @@ def make_heat_1d(n: int = 50, control_support=(1.0 / 3.0, 2.0 / 3.0),
     """
     if n < 3:
         raise InvalidParameterError("need at least 3 grid points")
-    if not (alpha > 0):
-        raise InvalidParameterError("alpha must be positive")
     lo, hi = control_support
     if not (0.0 <= lo <= hi <= 1.0):
         raise InvalidParameterError("control support must lie inside [0, 1]")
@@ -312,15 +298,15 @@ def make_heat_1d(n: int = 50, control_support=(1.0 / 3.0, 2.0 / 3.0),
         y_target=y_target_fn(x),
         control_operator=B,
         linear_matrix=A,
-        name="heat_1d",
     )
 
 
 def make_grid(T: float, L: int, fine_steps_per_subinterval: int,
               coarse_steps_per_subinterval: int) -> TimeGrid:
-    """Build a :class:`TimeGrid` from integer per-window step counts."""
-    if fine_steps_per_subinterval < 1 or coarse_steps_per_subinterval < 1:
-        raise InvalidParameterError("step counts must be positive integers")
+    """Build a :class:`TimeGrid` from integer per-window step counts.
+
+    The counts are checked by :class:`TimeGrid`.
+    """
     return TimeGrid(float(T), int(L), int(fine_steps_per_subinterval),
                     int(coarse_steps_per_subinterval))
 

@@ -159,7 +159,6 @@ class _LinearOps:
         except np.linalg.LinAlgError as exc:
             raise SingularStepError(
                 f"step matrix I - tau*A singular for tau={tau}") from exc
-        self.tau = tau
         self.steps = steps
         self.S = S
         self.ST = S.T.copy()

@@ -70,6 +70,10 @@ class ParaoptOptions:
             raise InvalidParameterError(f"unknown inner solver {self.inner_solver!r}")
         if self.variant not in (VARIANT_NEWTON, VARIANT_GAUSS_NEWTON):
             raise InvalidParameterError(f"unknown variant {self.variant!r}")
+        if self.workers is not None and not (
+                isinstance(self.workers, (int, np.integer))
+                and self.workers >= 1):
+            raise InvalidParameterError("workers must be a positive integer")
 
 
 @dataclass

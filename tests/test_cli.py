@@ -33,8 +33,18 @@ def test_parse_error_exit_2():
     assert main(["sweep"]) == EXIT_USAGE   # missing required mode
 
 
-def test_invalid_parameter_exit_6(tmp_path):
+def test_invalid_parameter_exit_6(tmp_path, capsys):
     assert run(tmp_path, "analyze", "--alpha=0") == EXIT_INVALID
+    # 0 is a given value: a preset's alpha only fills in a missing one
+    for preset in ("dahlquist", "heat"):
+        capsys.readouterr()
+        assert run(tmp_path, "solve", f"--preset={preset}",
+                   "--alpha=0") == EXIT_INVALID
+        assert "alpha must be positive" in capsys.readouterr().err
+    for workers in ("0", "-5"):
+        assert run(tmp_path, "solve", "--preset=dahlquist",
+                   f"--workers={workers}") == EXIT_INVALID
+        assert "workers must be a positive integer" in capsys.readouterr().err
 
 
 def test_conflicting_step_spec_exit_5():

@@ -21,15 +21,36 @@ def test_table31_all_entries_match():
     assert art.columns[0] == "sigma"
 
 
+def _sweep_grid(mode, key):
+    """(L, sub_length, coarse_dt, fine_dt) of one point, as the
+    ``scalar_sweeps`` docstring states them."""
+    if mode == "vary_fine":
+        return 10, 1.0 / 10, 1e-4, 1e-4 / 2.0 ** key
+    if mode == "vary_coarse":
+        return 10, 1.0 / 10, 2.0 ** -key, 1e-2 * 2.0 ** -20
+    if mode == "fixed_ratio":
+        return 10, 1.0 / 10, 2.0 ** -key, 1e-2 * 2.0 ** -key
+    T = 1.0 if mode == "scal_fixed_T" else float(key)
+    return key, T / key, T / key, T / key / 1e4
+
+
+_SWEEP_KEYS = {"vary_fine": range(1, 16), "vary_coarse": range(0, 21),
+               "fixed_ratio": range(1, 16),
+               "scal_fixed_T": [2 ** j for j in range(9)],
+               "scal_fixed_DT": [2 ** j for j in range(9)]}
+
+
 @pytest.mark.parametrize("mode", ex.SWEEP_MODES)
 def test_sweeps_complete_sorted_and_bounded(mode):
     result = ex.scalar_sweeps(mode)
     rows = result.artifact(f"sweep_{mode}").rows
     keys = [row[0] for row in rows]
-    assert keys == sorted(keys)
+    assert keys == sorted(keys) == list(_SWEEP_KEYS[mode])
     for row in rows:
         assert len(row) == len(result.artifact(f"sweep_{mode}").columns)
         assert all(np.isfinite(v) for v in row)
+        # L, sub_length, coarse_dt and fine_dt, bit for bit
+        assert row[3:7] == _sweep_grid(mode, row[0])
         rho, rho_bound = row[7], row[8]
         assert rho <= rho_bound * (1 + 1e-9) + 1e-12
 

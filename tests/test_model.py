@@ -83,6 +83,8 @@ def test_dahlquist_rejects_bad_alpha():
         make_dahlquist(-1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         make_dahlquist(-1.0, -2.0)
+    with pytest.raises(InvalidParameterError):
+        make_dahlquist(-1.0, float("nan"))
 
 
 def test_lotka_volterra_derivatives_at_initial_point():
@@ -102,6 +104,9 @@ def test_lotka_volterra_rejects_nonpositive_rates():
         make_lotka_volterra(a1=0.0)
     with pytest.raises(InvalidParameterError):
         make_lotka_volterra(b2=-1.0)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(InvalidParameterError):
+            make_lotka_volterra(alpha=alpha)
 
 
 def test_lotka_volterra_hessian_symmetry():
@@ -188,6 +193,9 @@ def test_heat_rejects_bad_support_and_size():
         make_heat_1d(control_support=(-0.1, 0.5))
     with pytest.raises(InvalidParameterError):
         make_heat_1d(control_support=(0.2, 1.3))
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(InvalidParameterError):
+            make_heat_1d(alpha=alpha)
 
 
 def test_make_grid_reference_configuration():
@@ -203,7 +211,7 @@ def test_make_grid_degenerate_and_ratio():
     assert g.fine_step == g.coarse_step == g.sub_length == 1.0
     for k in (1, 3):
         g = make_grid(1.0 / 3.0, 10, 10_000 * k, k)
-        assert np.isclose(g.ratio, 1e-4)
+        assert np.isclose(g.coarse_steps / g.fine_steps, 1e-4)
 
 
 def test_make_grid_rejects_bad_counts():

@@ -91,6 +91,14 @@ def test_solve_rejects_misfit_vectors_before_any_window(monkeypatch, misfit):
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", [0, -5, 1.5])
+def test_options_reject_workers_that_are_not_positive_integers(workers):
+    with pytest.raises(InvalidParameterError,
+                       match="workers must be a positive integer"):
+        ParaoptOptions(workers=workers)
+    assert ParaoptOptions(workers=np.int64(2)).workers == 2
+
+
 # -- approximate Jacobian application ----------------------------------------
 
 def make_linearizations(p, g, X):
