@@ -223,6 +223,9 @@ def _validate(sub, values):
         dt = values["dt"]
         cps = values["coarse-per-sub"]
         if dt is not None:
+            if not (L >= 1 and dt > 0):
+                raise CliError(EXIT_INVALID, "--dt needs L >= 1 and dt > 0 "
+                               f"(got L={L}, dt={dt})")
             derived = (T / L) / dt
             if cps is not None and abs(derived - cps) > 1e-9 * max(1.0, derived):
                 raise CliError(

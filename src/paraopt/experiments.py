@@ -202,6 +202,8 @@ _HISTORY_COLUMNS = ["iter", "residual_inf", "err_inf", "inner_iters",
 
 
 def _lv_grid(T: float, L: int, r: float, fine_total: int) -> TimeGrid:
+    if L < 1:
+        raise InvalidParameterError("need at least one sub-interval")
     if fine_total % L:
         raise InvalidParameterError(
             f"total fine step count {fine_total} is not a multiple of L={L}")
@@ -355,6 +357,10 @@ def heat_run(delta_t: float = 1e-7, r: float = 1e-1, alpha: float = 1e-4,
     control acts everywhere (B = I) and is emitted with ``modes_valid``
     False otherwise.
     """
+    if L < 1:
+        raise InvalidParameterError("need at least one sub-interval")
+    if not delta_t > 0:
+        raise InvalidParameterError(f"delta_t must be positive, got {delta_t}")
     N_int = step_count(T / L / delta_t, "fine steps per window T/L/delta_t")
     mc_int = step_count(N_int * r, f"coarse steps per window at r={r}")
     problem = make_heat_1d(n=n, control_support=control_support, alpha=alpha)
@@ -426,6 +432,9 @@ def bound_suite(num_samples: int = 500, seed: int = 20240817,
     radius <= its bound, the two coefficient estimates, the grid-only global
     bound, and contraction (rho < 1) whenever alpha > 0.4544 * coarse_step.
     """
+    if num_samples < 1:
+        raise InvalidParameterError(
+            f"need at least one sample, got {num_samples}")
     rng = np.random.default_rng(seed)
     names = ["sign_conditions", "C_below_one", "rho_le_bound",
              "dgamma_ratio_estimate", "dbeta_ratio_estimate",
@@ -496,6 +505,8 @@ def oracle_equivalence(Ls: Sequence[int] = (1, 2, 3, 5, 10, 30),
     """
     from scipy.optimize import linear_sum_assignment
 
+    if not Ls:
+        raise InvalidParameterError("need at least one window count L")
     cfg = TABLE31_GRID
     mismatch = disc_violations = threshold_violations = 0
     worst_match = 0.0

@@ -315,9 +315,9 @@ def step_count(value: float, what: str) -> int:
     """``value`` as a step count: a positive integer up to 1e-9 relative slack.
 
     Raises :class:`InvalidParameterError`, naming ``what``, when ``value``
-    rounds below 1 or lies farther than that from an integer.
+    is not finite, rounds below 1 or lies farther than that from an integer.
     """
-    count = round(value)
+    count = round(value) if np.isfinite(value) else 0
     if count < 1 or abs(value - count) > 1e-9 * max(1.0, value):
         raise InvalidParameterError(f"{what} = {value} is not a positive integer")
     return int(count)

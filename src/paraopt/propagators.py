@@ -47,14 +47,18 @@ control picks up an extra solve with the step matrix):
   outer step.  Linear windows are closed-form and ignore ``start``.
   A window solve allocates its band matrix once and refills it on every
   Newton step.  LAPACK ``dgbtrf`` factors it and ``dgbtrs`` solves with the
-  factors, both called through the function pointers scipy exports for
-  Cython and ctypes, which release the GIL for the call, so window solves
-  on a thread pool factor in parallel.  A warm-started solve keeps its
-  factors for chord steps (simplified Newton): after a step that leaves at
-  most ``_CHORD_CONTRACTION`` times the residual it started from, the next
-  step back-solves against the factors it holds, with no assembly or
-  factorization; a chord step that does not lower the residual is redone
-  as a Newton step.  No factors outlive a window solve.
+  factors, both called through the function pointers that
+  ``scipy.linalg.cython_lapack`` exports, wrapped as ctypes functions that
+  release the GIL for the call, so window solves on a thread pool factor in
+  parallel.  The first band factorization of a process imports
+  ``scipy.linalg`` and binds both pointers; later calls reuse them, and a
+  process that solves only linear problems never imports it.  A
+  warm-started solve keeps its factors for chord steps (simplified Newton):
+  after a step that leaves at most ``_CHORD_CONTRACTION`` times the
+  residual it started from, the next step back-solves against the factors
+  it holds, with no assembly or factorization; a chord step that does not
+  lower the residual is redone as a Newton step.  No factors outlive a
+  window solve.
 
 All entry points are pure functions of their arguments and can run
 concurrently on distinct sub-intervals.
@@ -71,7 +75,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cython_lapack as _cython_lapack
 
 from .errors import (InvalidParameterError, NewtonDivergenceError,
                      SingularStepError)
@@ -377,16 +380,41 @@ def _capsule_function(capsule, *argtypes):
 
 _int_p = ctypes.POINTER(ctypes.c_int)
 _double_p = ctypes.POINTER(ctypes.c_double)
-# Fortran arguments, all passed by reference:
-#   dgbtrf(m, n, kl, ku, ab, ldab, ipiv, info)
-#   dgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
-_dgbtrf = _capsule_function(
-    _cython_lapack.__pyx_capi__["dgbtrf"],
-    _int_p, _int_p, _int_p, _int_p, _double_p, _int_p, _int_p, _int_p)
-_dgbtrs = _capsule_function(
-    _cython_lapack.__pyx_capi__["dgbtrs"],
-    ctypes.c_char_p, _int_p, _int_p, _int_p, _int_p, _double_p, _int_p,
-    _int_p, _double_p, _int_p, _int_p)
+_Lapack = namedtuple("_Lapack", "dgbtrf dgbtrs")
+_lapack_routines: Optional[_Lapack] = None
+_lapack_lock = threading.Lock()
+
+
+def _bind_lapack() -> _Lapack:
+    from scipy.linalg import cython_lapack
+    capi = cython_lapack.__pyx_capi__
+    # Fortran arguments, all passed by reference:
+    #   dgbtrf(m, n, kl, ku, ab, ldab, ipiv, info)
+    #   dgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
+    return _Lapack(
+        _capsule_function(
+            capi["dgbtrf"],
+            _int_p, _int_p, _int_p, _int_p, _double_p, _int_p, _int_p, _int_p),
+        _capsule_function(
+            capi["dgbtrs"],
+            ctypes.c_char_p, _int_p, _int_p, _int_p, _int_p, _double_p,
+            _int_p, _int_p, _double_p, _int_p, _int_p))
+
+
+def _lapack() -> _Lapack:
+    """dgbtrf and dgbtrs, bound by the first band factorization of a process.
+
+    Importing ``scipy.linalg`` also loads scipy's array-API layer and
+    numpy's f2py, testing and ma packages; a run that factors no band
+    matrix (a linear problem's) never pays for them.  The lock makes
+    threads that reach their first factorization together bind once.
+    """
+    global _lapack_routines
+    if _lapack_routines is None:
+        with _lapack_lock:
+            if _lapack_routines is None:
+                _lapack_routines = _bind_lapack()
+    return _lapack_routines
 
 
 def _int_ref(value: int):
@@ -409,9 +437,10 @@ def _band_factor(n: int, ab: Array, context: str) -> Array:
     ipiv = np.empty(size, dtype=np.intc)
     info = ctypes.c_int(0)
     # ab and ipiv are locals, so they outlive the call
-    _dgbtrf(_int_ref(size), _int_ref(size), _int_ref(l), _int_ref(l),
-            ab.ctypes.data_as(_double_p), _int_ref(rows),
-            ipiv.ctypes.data_as(_int_p), ctypes.byref(info))
+    _lapack().dgbtrf(_int_ref(size), _int_ref(size), _int_ref(l),
+                     _int_ref(l), ab.ctypes.data_as(_double_p),
+                     _int_ref(rows), ipiv.ctypes.data_as(_int_p),
+                     ctypes.byref(info))
     if info.value != 0:
         raise SingularStepError(
             f"banded window system singular (lapack info={info.value}) "
@@ -435,10 +464,11 @@ def _band_solve(n: int, ab: Array, ipiv: Array, rhs: Array) -> Array:
         raise ValueError(f"ipiv must be {size} C ints from _band_factor")
     nrhs = 1 if x.ndim == 1 else x.shape[1]
     info = ctypes.c_int(0)
-    _dgbtrs(b"N", _int_ref(size), _int_ref(l), _int_ref(l), _int_ref(nrhs),
-            ab.ctypes.data_as(_double_p), _int_ref(ab.shape[0]),
-            ipiv.ctypes.data_as(_int_p), x.ctypes.data_as(_double_p),
-            _int_ref(max(1, size)), ctypes.byref(info))
+    _lapack().dgbtrs(b"N", _int_ref(size), _int_ref(l), _int_ref(l),
+                     _int_ref(nrhs), ab.ctypes.data_as(_double_p),
+                     _int_ref(ab.shape[0]), ipiv.ctypes.data_as(_int_p),
+                     x.ctypes.data_as(_double_p), _int_ref(max(1, size)),
+                     ctypes.byref(info))
     if info.value != 0:      # only an illegal argument sets it
         raise ValueError(f"dgbtrs rejected argument {-info.value}")
     return x

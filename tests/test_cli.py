@@ -47,6 +47,30 @@ def test_invalid_parameter_exit_6(tmp_path, capsys):
         assert "workers must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("lv", "--L=0"), "need at least one sub-interval"),
+    (("heat", "--L=0"), "need at least one sub-interval"),
+    (("heat", "--delta-t=0"), "delta_t must be positive"),
+    (("analyze", "--L=0", "--dt=0.1"), "--dt needs L >= 1 and dt > 0"),
+    (("analyze", "--dt=0"), "--dt needs L >= 1 and dt > 0"),
+    (("lv", "--r=nan"), "is not a positive integer"),
+])
+def test_zero_windows_or_step_exit_6(tmp_path, capsys, args, message):
+    # each used to divide by zero (or round a NaN) before any check
+    assert run(tmp_path, *args) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--samples=5", "--max-L=0"), "need at least one window count L"),
+    (("--samples=0", "--max-L=1"), "need at least one sample"),
+])
+def test_check_with_an_empty_suite_exit_6(tmp_path, capsys, flags, message):
+    # an empty suite used to pass with zero violations of zero cases
+    assert run(tmp_path, "check", *flags) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
 def test_conflicting_step_spec_exit_5():
     # dt and coarse-per-sub disagree about the coarse grid
     assert main(["analyze", "--T=100", "--L=30", "--coarse-per-sub=50",

@@ -1,5 +1,9 @@
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -619,6 +623,87 @@ def test_concurrent_banded_solves_match_serial():
     for expected, got in zip(serial, results):
         assert len(got) == 5
         assert all(np.array_equal(expected, x) for x in got)
+
+
+def _run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this paraopt."""
+    src = str(Path(propagators.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("preset", ["heat", "dahlquist"])
+def test_linear_runs_do_not_import_scipy_linalg(preset):
+    # only a band factorization needs LAPACK; a linear solve, its reference
+    # and the spectral table are numpy alone
+    out = _run_fresh(f"""
+        import sys
+        from paraopt import (ParaoptOptions, make_dahlquist, make_grid,
+                             make_heat_1d, paraopt_solve, reference_solve)
+        from paraopt import linear_analysis as la
+        problem = (make_heat_1d(n=20) if {preset!r} == "heat"
+                   else make_dahlquist(-1.0, 1.0))
+        grid = make_grid(1e-2, 4, 100, 10)
+        options = ParaoptOptions(inner_solver="krylov", workers=2)
+        report = paraopt_solve(problem, grid, options,
+                               reference=reference_solve(problem, grid, options))
+        la.spectral_summary(la.DahlquistSetup(-1.0, 1.0, grid))
+        assert report.converged
+        print("scipy.linalg" in sys.modules)
+    """)
+    assert out.split() == ["False"]
+
+
+def test_first_band_factorizations_in_two_threads_bind_once():
+    # two predator-prey windows make the process's first factorizations at
+    # once; the second thread waits on the binder's lock, and P and Q are
+    # those of a serial run, bit for bit
+    out = _run_fresh("""
+        import sys, threading, time
+        from paraopt import (default_initial_guess, fine_propagate, make_grid,
+                             make_lotka_volterra, propagators)
+        assert "scipy.linalg" not in sys.modules
+        binds = []
+        bind = propagators._bind_lapack
+
+        def slow_bind():
+            binds.append(threading.get_ident())
+            time.sleep(0.05)
+            return bind()
+
+        propagators._bind_lapack = slow_bind
+        p, g = make_lotka_volterra(), make_grid(1.0 / 3.0, 2, 2000, 20)
+        X = default_initial_guess(p, g)
+        results = {}
+        start = threading.Barrier(2, timeout=30)
+
+        def work(ell):
+            start.wait()
+            P, Q, _ = fine_propagate(p, g, ell, X.states[ell - 1],
+                                     X.adjoints[ell - 1])
+            results[ell] = P.tobytes().hex() + Q.tobytes().hex()
+
+        threads = [threading.Thread(target=work, args=(ell,))
+                   for ell in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        print(len(binds), results[1], results[2])
+    """)
+    p, g = make_lotka_volterra(), make_grid(1.0 / 3.0, 2, 2000, 20)
+    X = default_initial_guess(p, g)
+    serial = []
+    for ell in (1, 2):
+        P, Q, _ = fine_propagate(p, g, ell, X.states[ell - 1],
+                                 X.adjoints[ell - 1])
+        serial.append(P.tobytes().hex() + Q.tobytes().hex())
+    assert out.split() == ["1"] + serial
 
 
 def _warm_window(p, g):
