@@ -257,6 +257,14 @@ def _validate(sub, values):
             raise CliError(EXIT_USAGE,
                            f"unknown sweep mode {values['mode']!r}; pick from "
                            + ", ".join(ex.SWEEP_MODES))
+    if sub == "check":
+        # each suite runs in turn: an empty one is rejected before any runs
+        if values["max-L"] < 1:
+            raise CliError(EXIT_INVALID, "need at least one window count L "
+                           f"(got --max-L={values['max-L']})")
+        if values["samples"] < 1:
+            raise CliError(EXIT_INVALID, "need at least one sample "
+                           f"(got --samples={values['samples']})")
     if sub == "bench":
         try:
             counts = tuple(int(tok) for tok in

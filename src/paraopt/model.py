@@ -22,6 +22,8 @@ threads.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -268,6 +270,22 @@ def periodic_laplacian(n: int) -> Array:
     return A / h ** 2
 
 
+# read-only heat dynamics by key, held only as long as some problem holds them
+_heat_arrays = weakref.WeakValueDictionary()
+_heat_lock = threading.Lock()
+
+
+def _shared_array(key, build) -> Array:
+    """The read-only array cached under ``key``, made by ``build()`` if absent."""
+    with _heat_lock:
+        M = _heat_arrays.get(key)
+        if M is None:
+            M = build()
+            M.setflags(write=False)
+            _heat_arrays[key] = M
+        return M
+
+
 def make_heat_1d(n: int = 50, control_support=(1.0 / 3.0, 2.0 / 3.0),
                  alpha: float = 1e-4, y_init_fn=None,
                  y_target_fn=None) -> ControlProblem:
@@ -275,7 +293,10 @@ def make_heat_1d(n: int = 50, control_support=(1.0 / 3.0, 2.0 / 3.0),
 
     The control operator B is the 0/1 indicator of the grid nodes
     x_i = i/n lying in ``control_support``; initial and target profiles are
-    sampled at the same nodes.
+    sampled at the same nodes.  Problems share their dynamics: every live
+    problem of the same n holds the same read-only A, and of the same n and
+    support the same read-only B.  The arrays are cached weakly, so they go
+    when the last problem that holds them does.
     """
     if n < 3:
         raise InvalidParameterError("need at least 3 grid points")
@@ -287,9 +308,10 @@ def make_heat_1d(n: int = 50, control_support=(1.0 / 3.0, 2.0 / 3.0),
     if y_target_fn is None:
         y_target_fn = lambda x: 0.5 * (np.exp(-100.0 * (x - 0.25) ** 2)
                                        + np.exp(-100.0 * (x - 0.75) ** 2))
-    A = periodic_laplacian(n)
     x = np.arange(n) / n
-    B = np.diag(((x >= lo) & (x <= hi)).astype(float))
+    A = _shared_array(("laplacian", n), lambda: periodic_laplacian(n))
+    B = _shared_array(("indicator", n, lo, hi), lambda: np.diag(
+        ((x >= lo) & (x <= hi)).astype(float)))
 
     return ControlProblem(
         dim=n,

@@ -59,6 +59,18 @@ control picks up an extra solve with the step matrix):
   it holds, with no assembly or factorization; a chord step that does not
   lower the residual is redone as a Newton step.  No factors outlive a
   window solve.
+  Memory per fine step of a window solve, at state dimension n (bytes;
+  n = 2 in brackets): the band, 16n(6n + 1) [416]; the iterate y, lam,
+  updated in place, 16n [32]; the residual R, 16n [32]; the update du,
+  16n [32], which takes -R and which ``dgbtrs`` overwrites in place; and
+  the pivots, 8n [16], from a factorization to its back-solve in a cold
+  solve and for the whole of a warm one.  That is 56n [112] besides the
+  band.  Residuals and damping trials are evaluated into R in chunks of
+  ``_RESIDUAL_CHUNK`` slots, so they add only a chunk's temporaries, about
+  2.5 MB.  A 1.2e6-step predator-prey reference thus peaks near
+  1.2e6 * 528 B = 604 MiB.
+  ``CoarseLinearization.blocks`` holds a band, 2n right-hand sides solved
+  in place (32n^2 [128]) and the pivots.
 
 All entry points are pure functions of their arguments and can run
 concurrently on distinct sub-intervals.
@@ -150,7 +162,7 @@ class _LinearOps:
     maps serve, built once: read-only arrays that all the windows share.
     Q_y is identically zero, since Q = (S^T)^m Lam_plus does not depend on
     Y; the interface operator (``solver._jacobian_matvec``) relies on that
-    and skips it.
+    and skips it, so it is a read-only broadcast of one zero.
     """
 
     def __init__(self, problem: ControlProblem, tau: float, steps: int):
@@ -186,7 +198,8 @@ class _LinearOps:
         self.SN = SN
         self.SNT = SN.T.copy()
         self.G = G
-        self.blocks = (SN, -G / problem.alpha, np.zeros((n, n)), self.SNT)
+        self.blocks = (SN, -G / problem.alpha, np.broadcast_to(0.0, (n, n)),
+                       self.SNT)
         for block in self.blocks:
             block.setflags(write=False)
 
@@ -285,26 +298,70 @@ def _bandwidth(n: int) -> int:
     return 2 * n
 
 
-def _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha):
-    """Window residual, row t = (R2_t, R1_t) in the layout of slot t."""
+# slots per assembly chunk: at n = 2 a chunk's band columns (0.85 MB) and its
+# f' and K stay in L2 while every entry is written; on a Xeon with 4 MiB of
+# L2 per core, 2048 beat chunks of 256 to 4096 slots at 100k slots
+_ASSEMBLY_CHUNK = 2048
+# slots per residual chunk: a chunk's temporaries (about 80 B per slot at
+# n = 2) stay near 2.5 MB on long windows, while windows of up to 32k slots
+# take one pass.  Every pass is some thirty numpy calls, and two window
+# solves on threads hand the GIL over at each: in 2048-slot chunks the
+# 20k-slot windows of a 2-worker predator-prey solve took it 25% longer
+_RESIDUAL_CHUNK = 32768
+
+
+def _chunks(m: int, size: int):
+    """(s0, s1) slot ranges of at most ``size`` slots covering m slots."""
+    return ((s0, min(s0 + size, m)) for s0 in range(0, m, size))
+
+
+def _residual_rows(out, problem, y, lam, tau, bbt_over_alpha):
+    """Rows (R2_t, R1_t) of the slots between nodes ``y``, ``lam`` into out."""
     n = problem.dim
-    R = np.empty((len(y) - 1, 2 * n))
-    R[:, n:] = y[1:] - y[:-1] - tau * problem.rhs_many(y[1:]) \
+    out[:, n:] = y[1:] - y[:-1] - tau * problem.rhs_many(y[1:]) \
         + tau * (lam[1:] @ bbt_over_alpha.T)
     jac = problem.jacobian_many(y[:-1])
     # difference neighbours first: lam_j - lam_{j+1} is exact, whereas
     # (lam_j - tau*...) would round at the scale of lam_j on every step,
     # noise that each Newton step carries into Q = lam_0 summed over the
     # window
-    R[:, :n] = (lam[:-1] - lam[1:]) \
+    out[:, :n] = (lam[:-1] - lam[1:]) \
         - tau * np.einsum("tji,tj->ti", jac, lam[:-1])
-    return R
 
 
-# slots per assembly chunk: at n = 2 a chunk's band columns (0.85 MB) and its
-# f' and K stay in L2 while every entry is written; on a Xeon with 4 MiB of
-# L2 per core, 2048 beat chunks of 256 to 4096 slots at 100k slots
-_ASSEMBLY_CHUNK = 2048
+def _nonlinear_residual(out, problem, y, lam, tau, bbt_over_alpha, du=None,
+                        step=1.0, terminal=False) -> float:
+    """Window residual of ``(y, lam) + step * du`` into ``out``; its max norm.
+
+    Row t of the (m, 2n) ``out`` is (R2_t, R1_t), the layout of slot t, and
+    so is ``du`` (slot t holds (dlam_t, dy_{t+1})).  Without ``du`` the
+    residual is that of (y, lam).  With it, the update is applied to copies
+    of one chunk of nodes at a time, with lam_m = y_m - y_target when
+    ``terminal``: a damping trial needs no states or adjoints of its own.
+    Each node and row is computed as by one evaluation over the whole
+    window, since the problem's callables act row by row.
+    """
+    n = problem.dim
+    m = len(y) - 1
+    if du is not None:
+        du = du.reshape(m, 2 * n)
+    res = 0.0
+    for s0, s1 in _chunks(m, _RESIDUAL_CHUNK):
+        yc, lc = y[s0:s1 + 1], lam[s0:s1 + 1]
+        if du is not None:
+            yc, lc = yc.copy(), lc.copy()
+            yc[1:] += step * du[s0:s1, n:]
+            lc[:-1] += step * du[s0:s1, :n]
+            if s0 > 0:
+                yc[0] += step * du[s0 - 1, n:]
+            if s1 < m:
+                lc[-1] += step * du[s1, :n]
+            elif terminal:
+                lc[-1] = yc[-1] - problem.y_target
+        _residual_rows(out[s0:s1], problem, yc, lc, tau, bbt_over_alpha)
+        # np.maximum keeps a NaN
+        res = np.maximum(res, np.abs(out[s0:s1]).max())
+    return float(res)
 
 
 def _band_workspace(n: int, m: int) -> Array:
@@ -328,8 +385,7 @@ def _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
     # V[r, c, s] = ab[r, w*s + c]: slot s's column c; A[i, j] sits in row
     # r = 2w + i - j, so each Jacobian entry is one write over a chunk's slots
     V = ab.reshape((ab.shape[0], w, m), order="F")
-    for s0 in range(0, m, _ASSEMBLY_CHUNK):
-        s1 = min(s0 + _ASSEMBLY_CHUNK, m)
+    for s0, s1 in _chunks(m, _ASSEMBLY_CHUNK):
         ab[:, w * s0:w * s1] = 0.0
         Vc = V[:, :, s0:s1]
         first = 1 if s0 == 0 else 0       # slot 0 has no y_t and lam_t terms
@@ -448,30 +504,30 @@ def _band_factor(n: int, ab: Array, context: str) -> Array:
     return ipiv
 
 
-def _band_solve(n: int, ab: Array, ipiv: Array, rhs: Array) -> Array:
+def _band_solve(n: int, ab: Array, ipiv: Array, b: Array) -> None:
     """Solve with the factors of :func:`_band_factor` (LAPACK dgbtrs).
 
-    ``ab`` and ``ipiv`` are only read, so they serve any number of solves;
-    ``rhs`` (a vector or a matrix of columns) is left as it is and the
-    solution is returned in a new array of its shape.
+    ``b`` (a vector or a matrix of columns, F-contiguous float64) is
+    overwritten by the solution; no copy is made.  ``ab`` and ``ipiv`` are
+    only read, so they serve any number of solves.
     """
     l = _bandwidth(n)
     size = ab.shape[1]
-    x = np.array(rhs, dtype=np.float64, order="F")
-    if x.ndim not in (1, 2) or x.shape[0] != size:
-        raise ValueError(f"rhs needs {size} rows, got shape {x.shape}")
+    if b.dtype != np.float64 or not b.flags.f_contiguous \
+            or b.ndim not in (1, 2) or b.shape[0] != size:
+        raise ValueError(f"b must be F-contiguous float64 with {size} rows, "
+                         f"got shape {b.shape}")
     if ipiv.dtype != np.intc or ipiv.shape != (size,):
         raise ValueError(f"ipiv must be {size} C ints from _band_factor")
-    nrhs = 1 if x.ndim == 1 else x.shape[1]
+    nrhs = 1 if b.ndim == 1 else b.shape[1]
     info = ctypes.c_int(0)
     _lapack().dgbtrs(b"N", _int_ref(size), _int_ref(l), _int_ref(l),
                      _int_ref(nrhs), ab.ctypes.data_as(_double_p),
                      _int_ref(ab.shape[0]), ipiv.ctypes.data_as(_int_p),
-                     x.ctypes.data_as(_double_p), _int_ref(max(1, size)),
+                     b.ctypes.data_as(_double_p), _int_ref(max(1, size)),
                      ctypes.byref(info))
     if info.value != 0:      # only an illegal argument sets it
         raise ValueError(f"dgbtrs rejected argument {-info.value}")
-    return x
 
 
 # In a warm-started window solve, a step that leaves at most this fraction
@@ -486,24 +542,6 @@ def _band_solve(n: int, ab: Array, ipiv: Array, rhs: Array) -> Array:
 # chord-ended cold 20k-step window by 6 to 25 ulps, of a Newton-ended one
 # by none).  A warm window is solved again at the next outer iterate.
 _CHORD_CONTRACTION = 1e-2
-
-
-def _damped_update(problem, y, lam, du, step, tau, bbt_over_alpha,
-                   terminal: bool):
-    """Iterate ``(y, lam) + step * du`` and its residual.
-
-    Returns (residual max norm, states, adjoints, residual).
-    """
-    n = problem.dim
-    du = du.reshape(len(y) - 1, 2 * n)      # slot t holds (dlam_t, dy_{t+1})
-    y_new = y.copy()
-    lam_new = lam.copy()
-    y_new[1:] += step * du[:, n:]
-    lam_new[:-1] += step * du[:, :n]
-    if terminal:
-        lam_new[-1] = y_new[-1] - problem.y_target
-    R = _nonlinear_residual(problem, y_new, lam_new, tau, bbt_over_alpha)
-    return np.abs(R).max(), y_new, lam_new, R
 
 
 def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, context: str,
@@ -522,6 +560,15 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, context: str,
     that does not lower the residual at full length is dropped and redone
     as a Newton step.  Returns (states, adjoints, iterations), chord steps
     included.
+
+    Besides the band, the solve holds the iterate (y, lam), updated in
+    place, and two slot-layout buffers: ``R``, the residual of the iterate
+    and then of each damping trial, and ``du``, which takes -R and is
+    overwritten by the back-solve with the Newton update.  A trial is
+    evaluated chunk by chunk into ``R`` and only its step length is kept;
+    when the last trial is not the best one (every halving failed to lower
+    the residual), the best is evaluated again, as is the iterate's residual
+    after a dropped chord step.  Both give the same bits as the first time.
     """
     n = problem.dim
     bbt_over_alpha = problem.bbt() / problem.alpha
@@ -541,45 +588,61 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, context: str,
     min_steps = 1 if warm else 0
     ab = _band_workspace(n, m)
     ipiv = None             # set while ab holds factors a chord step may use
-    R = _nonlinear_residual(problem, y, lam, tau, bbt_over_alpha)
-    res = np.abs(R).max()
+    R = np.empty((m, 2 * n))
+    du = np.empty(2 * n * m)
+    res = _nonlinear_residual(R, problem, y, lam, tau, bbt_over_alpha)
     res0 = max(res, 1.0)
     iters = 0
+
+    def trial(step):
+        return _nonlinear_residual(R, problem, y, lam, tau, bbt_over_alpha,
+                                   du, step, terminal)
+
     while res > tol or iters < min_steps:
         if iters >= DEFAULT_MAX_NEWTON:
             raise NewtonDivergenceError(
                 f"window Newton needed more than {DEFAULT_MAX_NEWTON} "
                 f"iterations ({context}); residual {res:.3e}", residual=res)
-        rhs = -R.ravel()
-        best = None
+        np.negative(R.reshape(-1), out=du)
+        step = None
         if ipiv is not None:
             # chord step, at full length; dropped unless it lowers the
             # residual
-            du = _band_solve(n, ab, ipiv, rhs)
-            best = _damped_update(problem, y, lam, du, 1.0, tau,
-                                  bbt_over_alpha, terminal)
-            if not best[0] < res:
-                best = None
-        if best is None:
+            _band_solve(n, ab, ipiv, du)
+            best = trial(1.0)
+            if best < res:
+                step = 1.0
+            else:      # R holds the dropped trial: back to the iterate's
+                _nonlinear_residual(R, problem, y, lam, tau, bbt_over_alpha)
+                np.negative(R.reshape(-1), out=du)
+        if step is None:
             _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
                              gauss_newton=False, terminal=terminal)
             ipiv = _band_factor(n, ab, context)
-            du = _band_solve(n, ab, ipiv, rhs)
+            _band_solve(n, ab, ipiv, du)
             if not warm:   # no chord steps: free the pivots before the trials
                 ipiv = None
             # damped update: halve until the residual decreases
-            step = 1.0
+            tried = 2.0
             for _ in range(_MAX_DAMPINGS + 1):
-                trial = _damped_update(problem, y, lam, du, step, tau,
-                                       bbt_over_alpha, terminal)
-                if best is None or trial[0] < best[0]:
-                    best = trial
-                if trial[0] < res:
+                tried *= 0.5
+                r = trial(tried)
+                if step is None or r < best:
+                    best, step = r, tried
+                if r < res:
                     break
-                step *= 0.5
-        if not best[0] <= _CHORD_CONTRACTION * res:
+            if tried != step:      # R holds the last trial, not the best
+                trial(step)
+        if not best <= _CHORD_CONTRACTION * res:
             ipiv = None
-        res, y, lam, R = best
+        # the accepted trial, made in place: y + step*du as trial() made it
+        du *= step
+        du_slots = du.reshape(m, 2 * n)
+        y[1:] += du_slots[:, n:]
+        lam[:-1] += du_slots[:, :n]
+        if terminal:
+            lam[-1] = y[-1] - problem.y_target
+        res = best
         iters += 1
         if not np.isfinite(res) or res > 1e8 * res0:
             raise NewtonDivergenceError(
@@ -678,9 +741,9 @@ class CoarseLinearization:
         # unit boundary data, dY in the first n columns and dLam in the last
         # n, enter the first slot's rows and the last slot's (the same rows
         # when m = 1), added onto zeros so that no -0.0 enters; the
-        # solution's column j holds every slot's (dlam_t, dy_{t+1}) for
-        # direction j
-        rhs = np.zeros((2 * n * m, 2 * n))
+        # back-solve overwrites them with the solution, whose column j holds
+        # every slot's (dlam_t, dy_{t+1}) for direction j
+        rhs = np.zeros((2 * n * m, 2 * n), order="F")
         last = (m - 1) * 2 * n
         if not gauss_newton:
             rhs[0:n, :n] += tau * self.problem.hess_coupling_many(
@@ -695,8 +758,8 @@ class CoarseLinearization:
             exc.subinterval = self.subinterval_index
             exc.phase = "blocks"
             raise
-        du = _band_solve(n, ab, ipiv, rhs)
-        top, bottom = du[0:n], du[last + n:last + 2 * n]
+        _band_solve(n, ab, ipiv, rhs)
+        top, bottom = rhs[0:n], rhs[last + n:last + 2 * n]
         return (bottom[:, :n].copy(), bottom[:, n:].copy(),
                 top[:, :n].copy(), top[:, n:].copy())
 
@@ -720,5 +783,6 @@ def window_recurrence_residual(problem: ControlProblem,
         Rl = lam[:-1] - lam[1:] @ ops.S  # lam_j = S^T lam_{j+1}
         Ry = y[1:] - y[:-1] @ ops.S.T + lam[1:] @ ops.coupling.T
         return max(np.abs(Rl).max(), np.abs(Ry).max())
-    return np.abs(_nonlinear_residual(problem, y, lam, tau,
-                                      problem.bbt() / problem.alpha)).max()
+    return _nonlinear_residual(np.empty((traj.steps, 2 * problem.dim)),
+                               problem, y, lam, tau,
+                               problem.bbt() / problem.alpha)

@@ -65,10 +65,17 @@ def test_zero_windows_or_step_exit_6(tmp_path, capsys, args, message):
     (("--samples=5", "--max-L=0"), "need at least one window count L"),
     (("--samples=0", "--max-L=1"), "need at least one sample"),
 ])
-def test_check_with_an_empty_suite_exit_6(tmp_path, capsys, flags, message):
-    # an empty suite used to pass with zero violations of zero cases
+def test_check_with_an_empty_suite_exit_6(tmp_path, capsys, monkeypatch,
+                                         flags, message):
+    # an empty suite used to pass with zero violations of zero cases, and
+    # --max-L=0 ran the other two suites before it was rejected
+    called = []
+    for suite in ("appendix_grid", "bound_suite", "oracle_equivalence"):
+        monkeypatch.setattr(ex, suite,
+                            lambda *args, suite=suite, **kw: called.append(suite))
     assert run(tmp_path, "check", *flags) == EXIT_INVALID
     assert message in capsys.readouterr().err
+    assert called == []
 
 
 def test_conflicting_step_spec_exit_5():

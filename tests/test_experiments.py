@@ -151,6 +151,10 @@ def test_invariant_suites_small():
     assert ex.appendix_grid(25, 25).passed
     assert ex.bound_suite(120, seed=7).passed
     assert ex.oracle_equivalence(Ls=(1, 2, 4)).passed
+    with pytest.raises(InvalidParameterError, match="at least one sample"):
+        ex.bound_suite(0)
+    with pytest.raises(InvalidParameterError, match="at least one window"):
+        ex.oracle_equivalence(Ls=())
 
 
 def _per_step_cost(problem, grid, X):

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -176,6 +181,79 @@ def test_heat_control_operator_is_indicator():
     # full support reduces to the identity
     assert np.allclose(make_heat_1d(n=10, control_support=(0.0, 1.0)).bbt(),
                        np.eye(10))
+
+
+def test_heat_problems_share_read_only_dynamics():
+    p = make_heat_1d(n=30)
+    q = make_heat_1d(n=30, alpha=2.0, y_init_fn=np.cos, y_target_fn=np.sin)
+    assert p.linear_matrix is q.linear_matrix
+    assert p.control_operator is q.control_operator
+    for M in (p.linear_matrix, p.control_operator):
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+    # bitwise the arrays a fresh build makes
+    assert np.array_equal(p.linear_matrix, periodic_laplacian(30))
+    wider = make_heat_1d(n=30, control_support=(0.0, 0.5))
+    finer = make_heat_1d(n=31)
+    assert wider.control_operator is not p.control_operator
+    assert not np.array_equal(wider.control_operator, p.control_operator)
+    assert finer.linear_matrix is not p.linear_matrix
+    assert finer.control_operator is not p.control_operator
+    # A does not depend on the support
+    assert wider.linear_matrix is p.linear_matrix
+
+
+def test_heat_dynamics_shared_under_contention():
+    # more threads than cores and a short switch interval: a check-then-act
+    # race in the cache would hand two problems of one n different arrays
+    threads_n, rounds, sizes = 8, 10, (33, 34, 35)
+    made = [[] for _ in range(threads_n)]
+    start = threading.Barrier(threads_n, timeout=30)
+
+    def work(i):
+        for _ in range(rounds):
+            start.wait()
+            made[i].extend(make_heat_1d(n=n) for n in sizes)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    problems = [p for ps in made for p in ps]
+    assert len(problems) == threads_n * rounds * len(sizes)
+    for n in sizes:
+        same = [p for p in problems if p.dim == n]
+        assert len({id(p.linear_matrix) for p in same}) == 1
+        assert len({id(p.control_operator) for p in same}) == 1
+
+
+def test_periodic_laplacian_returns_a_fresh_writable_array():
+    p = make_heat_1d(n=30)
+    A, B = periodic_laplacian(30), periodic_laplacian(30)
+    assert A is not B and A is not p.linear_matrix
+    A[0, 0] = 1.0
+    assert p.linear_matrix[0, 0] == B[0, 0] == -2.0 * 30 ** 2
+
+
+def test_heat_dynamics_go_with_their_last_problem():
+    p = make_heat_1d(n=257)
+    refs = [weakref.ref(p.linear_matrix), weakref.ref(p.control_operator)]
+    q = make_heat_1d(n=257)
+    del p
+    gc.collect()
+    assert all(ref() is not None for ref in refs)   # q still holds them
+    del q
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_heat_default_profiles_sampled_at_nodes():

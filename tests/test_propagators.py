@@ -3,13 +3,15 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from paraopt import (ControlProblem, ParaoptOptions, SingularStepError,
+from paraopt import (ControlProblem, NewtonDivergenceError, ParaoptOptions,
+                     SingularStepError,
                      coarse_linearize, default_initial_guess, fine_propagate,
                      make_dahlquist, make_grid, make_heat_1d,
                      make_lotka_volterra, paraopt_solve, propagators)
@@ -245,8 +247,9 @@ def test_linear_blocks_are_shared_and_read_only():
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
     # Q_y is zero because Q = (S^T)^m Lam_plus does not read Y; the
-    # interface operator skips it
+    # interface operator skips it, so it is a broadcast zero, not an array
     assert not np.any(first[2])
+    assert first[2].shape == (12, 12) and first[2].strides == (0, 0)
     Lam = np.linspace(-1.0, 2.0, 12)
     Qs = [fine_propagate(p, g, 2, Y, Lam)[1]
           for Y in (p.y_init, np.ones(12), -3.0 * p.y_init)]
@@ -466,7 +469,9 @@ def _check_predator_prey_assembly(gauss_newton, terminal, m):
         ll[:-1], yy[1:] = slots[:, :n], slots[:, n:]
         if terminal:
             ll[-1] = yy[-1] - p.y_target
-        return _nonlinear_residual(p, yy, ll, tau, bbt).ravel()
+        R = np.empty((m, 2 * n))
+        _nonlinear_residual(R, p, yy, ll, tau, bbt)
+        return R.ravel()
 
     u0 = np.hstack([lam[:-1], y[1:]]).ravel()
     eps = 1e-6
@@ -559,15 +564,15 @@ def _random_band_system(n, m, seed, nrhs=None):
 
 
 def _factor_and_solve(n, ab, rhs, context):
-    ab = ab.copy(order="F")
-    return _band_solve(n, ab, _band_factor(n, ab, context), rhs)
+    ab, x = ab.copy(order="F"), np.array(rhs, order="F")
+    _band_solve(n, ab, _band_factor(n, ab, context), x)
+    return x
 
 
 @pytest.mark.parametrize("nrhs", [None, 4])     # one column, and 2n
 def test_banded_solve_matches_scipy_dgbsv(nrhs):
     n = 2
     ab, rhs = _random_band_system(n, 60, seed=11, nrhs=nrhs)
-    rhs_before = rhs.copy()
     l = propagators._bandwidth(n)
     lu, ipiv_expected, expected, info = lapack.dgbsv(
         l, l, ab.copy(order="F"), rhs)
@@ -576,12 +581,14 @@ def test_banded_solve_matches_scipy_dgbsv(nrhs):
     # dgbtrf leaves the factors and pivots dgbsv leaves (1-based pivots)
     assert np.array_equal(ab, lu)
     assert np.array_equal(ipiv, ipiv_expected + 1)
-    x = _band_solve(n, ab, ipiv, rhs)
-    assert x.shape == rhs.shape
+    # the solution overwrites the right-hand side
+    x = np.array(rhs, order="F")
+    _band_solve(n, ab, ipiv, x)
     assert np.array_equal(x, expected)
-    assert np.array_equal(rhs, rhs_before)
     # the factors are only read: a second back-solve gives the same answer
-    assert np.array_equal(_band_solve(n, ab, ipiv, rhs), expected)
+    x = np.array(rhs, order="F")
+    _band_solve(n, ab, ipiv, x)
+    assert np.array_equal(x, expected)
 
 
 def test_banded_solve_rejects_singular_and_misfit_storage():
@@ -598,6 +605,9 @@ def test_banded_solve_rejects_singular_and_misfit_storage():
         _band_solve(n, ab, ipiv, rhs[:-1])
     with pytest.raises(ValueError):
         _band_solve(n, ab, ipiv.astype(np.int64), rhs)
+    # a C-ordered matrix of columns is rejected, not copied
+    with pytest.raises(ValueError):
+        _band_solve(n, ab, ipiv, np.ones((len(rhs), 2)))
 
 
 def test_concurrent_banded_solves_match_serial():
@@ -762,13 +772,13 @@ def test_chord_step_that_does_not_lower_the_residual_is_redone(monkeypatch):
     chords = []
     solve = propagators._band_solve
 
-    def wrong_way_chords(n, ab, ipiv, rhs):
-        x = solve(n, ab, ipiv, rhs)
+    def wrong_way_chords(n, ab, ipiv, b):
+        solve(n, ab, ipiv, b)
         if chords.count(False) < len(factored):
             chords.append(False)
-            return x
+            return
         chords.append(True)
-        return -x
+        np.negative(b, out=b)
 
     monkeypatch.setattr(propagators, "_band_solve", wrong_way_chords)
     _, _, traj = fine_propagate(p, g, 1, Y, Lam, start=start)
@@ -794,3 +804,179 @@ def test_blocks_singular_step_names_its_window(monkeypatch):
         lin.blocks()
     assert info.value.subinterval == 3
     assert info.value.phase == "blocks"
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+def test_chunked_trial_residual_equals_one_update_and_chunk(terminal,
+                                                            monkeypatch):
+    # the residual of (y, lam) + step * du, made chunk by chunk from the
+    # nodes, against the update applied to whole copies and one chunk
+    p = make_lotka_volterra()
+    n, m, tau, step = 2, 40, 1e-2, 0.25
+    rng = np.random.default_rng(5)
+    y = p.y_init + rng.standard_normal((m + 1, n))
+    lam = rng.standard_normal((m + 1, n))
+    if terminal:
+        lam[-1] = y[-1] - p.y_target
+    du = rng.standard_normal(2 * n * m)
+    bbt = p.bbt() / p.alpha
+    y_new, lam_new = y.copy(), lam.copy()
+    y_new[1:] += step * du.reshape(m, 2 * n)[:, n:]
+    lam_new[:-1] += step * du.reshape(m, 2 * n)[:, :n]
+    if terminal:
+        lam_new[-1] = y_new[-1] - p.y_target
+    whole, chunked = np.empty((m, 2 * n)), np.empty((m, 2 * n))
+    monkeypatch.setattr(propagators, "_RESIDUAL_CHUNK", m)
+    res = _nonlinear_residual(whole, p, y_new, lam_new, tau, bbt)
+    assert res == np.abs(whole).max()
+    monkeypatch.setattr(propagators, "_RESIDUAL_CHUNK", 7)
+    assert _nonlinear_residual(chunked, p, y, lam, tau, bbt, du, step,
+                               terminal) == res
+    assert np.array_equal(chunked, whole)
+    # a NaN in any chunk makes the norm NaN, as one max over the window does
+    du[5] = np.nan
+    assert np.isnan(_nonlinear_residual(chunked, p, y, lam, tau, bbt, du,
+                                        step, terminal))
+
+
+def _copying_window_solve(p, Y, Lam_plus, tau, m, start=None, tol=1e-12):
+    """The window Newton with a new array per damping trial, the best trial
+    kept whole and the right-hand side copied for each back-solve: what
+    ``_solve_window_nonlinear`` computes in place.
+
+    Returns (states, adjoints, iterations, halved trials, steps that took
+    the best of failed trials, the residual at which the solve gives up or
+    None).
+    """
+    n = p.dim
+    bbt = p.bbt() / p.alpha
+    terminal, warm = Lam_plus is None, start is not None
+    if warm:
+        y, lam = start.states.copy(), start.adjoints.copy()
+        y[0], lam[-1] = Y, Lam_plus
+    else:
+        y = np.tile(np.asarray(Y, dtype=float), (m + 1, 1))
+        lam = np.tile(np.ones(n) if terminal
+                      else np.asarray(Lam_plus, dtype=float), (m + 1, 1))
+    if terminal:
+        lam[-1] = y[-1] - p.y_target
+
+    def update(du, step):
+        y_new, lam_new = y.copy(), lam.copy()
+        y_new[1:] += step * du.reshape(m, 2 * n)[:, n:]
+        lam_new[:-1] += step * du.reshape(m, 2 * n)[:, :n]
+        if terminal:
+            lam_new[-1] = y_new[-1] - p.y_target
+        R = np.empty((m, 2 * n))
+        return (_nonlinear_residual(R, p, y_new, lam_new, tau, bbt),
+                y_new, lam_new, R)
+
+    def back_solve(rhs):
+        du = rhs.copy()
+        _band_solve(n, ab, ipiv, du)
+        return du
+
+    ab, ipiv = _band_workspace(n, m), None
+    iters = halved = recovered = 0
+    R = np.empty((m, 2 * n))
+    res = _nonlinear_residual(R, p, y, lam, tau, bbt)
+    res0 = max(res, 1.0)
+    while res > tol or iters < warm:
+        if iters >= propagators.DEFAULT_MAX_NEWTON:
+            return y, lam, iters, halved, recovered, res
+        rhs, best = -R.ravel(), None
+        if ipiv is not None:
+            best = update(back_solve(rhs), 1.0)
+            if not best[0] < res:
+                best = None
+        if best is None:
+            _assemble_banded(ab, p, y, lam, tau, bbt, False, terminal)
+            ipiv = _band_factor(n, ab, "copying solve")
+            du = back_solve(rhs)
+            ipiv = ipiv if warm else None
+            step = 1.0
+            for _ in range(propagators._MAX_DAMPINGS + 1):
+                trial = update(du, step)
+                halved += step < 1.0
+                if best is None or trial[0] < best[0]:
+                    best = trial
+                if trial[0] < res:
+                    break
+                step *= 0.5
+            recovered += best is not trial
+        if not best[0] <= propagators._CHORD_CONTRACTION * res:
+            ipiv = None
+        res, y, lam, R = best
+        iters += 1
+        if not np.isfinite(res) or res > 1e8 * res0:
+            return y, lam, iters, halved, recovered, res
+    return y, lam, iters, halved, recovered, None
+
+
+@pytest.mark.parametrize("case", ["damped", "terminal", "warm", "recovering",
+                                  "stalling"])
+def test_in_place_window_solve_is_bitwise_the_copying_one(case, monkeypatch):
+    # windows of 3 to 50 slots in chunks of 4.  All but "warm" halve steps;
+    # "warm" takes chord steps; "recovering" has a step that takes the best
+    # of eleven failed trials, evaluated again in place, and converges;
+    # "stalling" stays at the round-off floor above the tolerance and gives
+    # up after such steps
+    monkeypatch.setattr(propagators, "_RESIDUAL_CHUNK", 4)
+    p = make_lotka_volterra()
+    start, tol = None, propagators.DEFAULT_LOCAL_TOL
+    T, m, Lam = {"damped": (1 / 3, 10, [30.0, -15.0]),
+                 "terminal": (1.0, 3, None),
+                 "warm": (1 / 18, 50, None),
+                 "recovering": (1 / 3, 5, [30.0, 30.0]),
+                 "stalling": (1 / 3, 5, [3.0, 3.0])}[case]
+    Y, tau = p.y_init, T / m
+    if case == "warm":
+        Y, Lam, start = _warm_window(p, make_grid(1 / 3, 6, m, 5))
+    if case == "recovering":
+        tol = 1e-10
+    y_expected, lam_expected, iters, halved, recovered, gave_up = \
+        _copying_window_solve(p, Y, Lam, tau, m, start, tol)
+    assert (halved > 0) == (case != "warm")
+    assert (recovered > 0) == (case in ("recovering", "stalling"))
+    assert (gave_up is not None) == (case == "stalling")
+    if case == "warm":
+        assert iters == 4        # one Newton step and three chord steps
+
+    def solve():
+        return propagators._solve_window_nonlinear(
+            p, Y, Lam, tau, m, tol, "test",
+            start=None if start is None else (start.states, start.adjoints))
+
+    if gave_up is not None:
+        with pytest.raises(NewtonDivergenceError) as info:
+            solve()
+        assert info.value.residual == gave_up
+        return
+    y, lam, got_iters = solve()
+    assert got_iters == iters
+    assert np.array_equal(y, y_expected)
+    assert np.array_equal(lam, lam_expected)
+
+
+def test_cold_window_solve_holds_its_byte_model():
+    # the model of the module docstring at n = 2: besides the 416 B band,
+    # the iterate, R and du (32 B each) and the pivots (16 B) while they
+    # live, 112 B per step; the pivots' phase is the peak.  Measured 112.1
+    # at 200k steps; the slack of 16 B per step (3.2 MB) covers a residual
+    # chunk's temporaries (about 2.5 MB, 12 B per step here; a 50k-step
+    # window is two chunks, where they would add 48 B per step) and small
+    # objects.  Binding LAPACK first keeps scipy's import out of the trace.
+    p = make_lotka_volterra()
+    m = 200_000
+    propagators._lapack()
+    tracemalloc.start()
+    try:
+        y, lam, _ = propagators._solve_window_nonlinear(
+            p, p.y_init, None, (1 / 3) / m, m, propagators.DEFAULT_LOCAL_TOL,
+            "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == lam.shape == (m + 1, 2)
+    outside_band = peak / m - _band_workspace(2, 1).nbytes
+    assert outside_band <= 112 + 16
