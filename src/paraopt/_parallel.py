@@ -27,8 +27,17 @@ except ImportError:  # pragma: no cover - threadpoolctl ships with sklearn
     threadpool_limits = None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a container pinned to 2 of 64 CPUs gets 2), else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(requested, num_tasks: int) -> int:
-    """Default worker count: min(num_tasks, cores), env override allowed.
+    """Default worker count: min(num_tasks, CPUs this process may use), env
+    override allowed.
 
     Raises :class:`InvalidParameterError` when ``PARAOPT_WORKERS`` is set to
     anything but a positive integer.
@@ -45,7 +54,7 @@ def resolve_workers(requested, num_tasks: int) -> int:
                     f"PARAOPT_WORKERS must be a positive integer, got {env!r}"
                 ) from None
     if requested is None:
-        requested = min(num_tasks, os.cpu_count() or 1)
+        requested = min(num_tasks, _usable_cpus())
     return int(requested)
 
 

@@ -50,9 +50,10 @@ control picks up an extra solve with the step matrix):
   factors, both called through the function pointers that
   ``scipy.linalg.cython_lapack`` exports, wrapped as ctypes functions that
   release the GIL for the call, so window solves on a thread pool factor in
-  parallel.  The first band factorization of a process imports
-  ``scipy.linalg`` and binds both pointers; later calls reuse them, and a
-  process that solves only linear problems never imports it.  A
+  parallel.  The first band factorization of a process loads that one
+  extension module, without running the ``scipy.linalg`` package, and
+  binds both pointers; later calls reuse them, and a process that solves
+  only linear problems never loads it.  A
   warm-started solve keeps its factors for chord steps (simplified Newton):
   after a step that leaves at most ``_CHORD_CONTRACTION`` times the
   residual it started from, the next step back-solves against the factors
@@ -80,6 +81,10 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 import weakref
 from collections import OrderedDict, namedtuple
@@ -420,18 +425,22 @@ def _assemble_banded(ab, problem, y, lam, tau, bbt_over_alpha,
     return ab
 
 
-def _capsule_function(capsule, *argtypes):
-    """The void C function behind a Cython ``__pyx_capi__`` capsule.
-
-    Calls through a ``CFUNCTYPE`` release the GIL for their duration.
-    """
+def _capsule_address(capsule) -> int:
+    """The address of the C function behind a Cython ``__pyx_capi__`` capsule."""
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                     ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+    return get_pointer(capsule, get_name(capsule))
+
+
+def _capsule_function(capsule, *argtypes):
+    """The void C function behind a ``__pyx_capi__`` capsule, as ctypes.
+
+    Calls through a ``CFUNCTYPE`` release the GIL for their duration.
+    """
+    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_address(capsule))
 
 
 _int_p = ctypes.POINTER(ctypes.c_int)
@@ -439,11 +448,42 @@ _double_p = ctypes.POINTER(ctypes.c_double)
 _Lapack = namedtuple("_Lapack", "dgbtrf dgbtrs")
 _lapack_routines: Optional[_Lapack] = None
 _lapack_lock = threading.Lock()
+_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
+
+
+def _cython_lapack():
+    """scipy's ``cython_lapack`` extension module, without ``scipy.linalg``.
+
+    A module already imported is reused.  Otherwise the extension is loaded
+    from scipy's ``linalg`` directory by itself, so the package
+    ``scipy/linalg/__init__.py`` does not run.  The Cython module enters
+    itself in ``sys.modules``; that entry is dropped again, and a later
+    ``import scipy.linalg`` binds this same module object as its
+    ``cython_lapack``.
+    """
+    module = sys.modules.get(_CYTHON_LAPACK)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("banded window solves need scipy (its LAPACK "
+                          "dgbtrf and dgbtrs); scipy is not installed",
+                          name="scipy")
+    spec = importlib.machinery.PathFinder.find_spec(
+        _CYTHON_LAPACK, [os.path.join(path, "linalg")
+                         for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"scipy in {scipy.origin} has no {_CYTHON_LAPACK}",
+                          name=_CYTHON_LAPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get(_CYTHON_LAPACK) is module:
+        del sys.modules[_CYTHON_LAPACK]
+    return module
 
 
 def _bind_lapack() -> _Lapack:
-    from scipy.linalg import cython_lapack
-    capi = cython_lapack.__pyx_capi__
+    capi = _cython_lapack().__pyx_capi__
     # Fortran arguments, all passed by reference:
     #   dgbtrf(m, n, kl, ku, ab, ldab, ipiv, info)
     #   dgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
@@ -460,10 +500,13 @@ def _bind_lapack() -> _Lapack:
 def _lapack() -> _Lapack:
     """dgbtrf and dgbtrs, bound by the first band factorization of a process.
 
-    Importing ``scipy.linalg`` also loads scipy's array-API layer and
-    numpy's f2py, testing and ma packages; a run that factors no band
-    matrix (a linear problem's) never pays for them.  The lock makes
-    threads that reach their first factorization together bind once.
+    Only scipy's ``cython_lapack`` extension is loaded for them (see
+    :func:`_cython_lapack`): the ``scipy.linalg`` package would also load
+    scipy's array-API layer and numpy's f2py, testing and ma packages, which
+    no window solve uses.  A run that factors no band matrix (a linear
+    problem's) loads nothing.  The lock makes threads that reach their first
+    factorization together bind once.  Raises ``ImportError`` when scipy is
+    missing.
     """
     global _lapack_routines
     if _lapack_routines is None:

@@ -23,6 +23,7 @@ any worker count.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -59,11 +60,14 @@ class ParaoptOptions:
     inner_tol: float = 1e-10
     variant: str = VARIANT_NEWTON
     local_tol: float = DEFAULT_LOCAL_TOL
-    workers: Optional[int] = None           # None: min(L, cores)
+    workers: Optional[int] = None           # None: min(L, usable CPUs)
 
     def __post_init__(self):
-        if self.outer_tol <= 0 or self.inner_tol <= 0 or self.local_tol <= 0:
-            raise InvalidParameterError("tolerances must be positive")
+        for name in ("outer_tol", "inner_tol", "local_tol"):
+            tol = getattr(self, name)
+            if not 0 < tol < math.inf:      # NaN fails both comparisons
+                raise InvalidParameterError(
+                    f"{name} must be finite and positive, got {tol!r}")
         if self.max_outer < 1:
             raise InvalidParameterError("max_outer must be >= 1")
         if self.inner_solver not in (INNER_KRYLOV, INNER_DIRECT):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from paraopt import _parallel
 from paraopt import experiments as ex
 from paraopt import propagators
 from paraopt.cli import (EXIT_CONFLICT, EXIT_GOLDEN, EXIT_INVALID,
@@ -54,9 +55,14 @@ def test_invalid_parameter_exit_6(tmp_path, capsys):
     (("analyze", "--L=0", "--dt=0.1"), "--dt needs L >= 1 and dt > 0"),
     (("analyze", "--dt=0"), "--dt needs L >= 1 and dt > 0"),
     (("lv", "--r=nan"), "is not a positive integer"),
+    (("solve", "--preset=dahlquist", "--outer-tol=nan"),
+     "outer_tol must be finite and positive, got nan"),
+    (("solve", "--preset=dahlquist", "--outer-tol=inf"),
+     "outer_tol must be finite and positive, got inf"),
 ])
 def test_zero_windows_or_step_exit_6(tmp_path, capsys, args, message):
-    # each used to divide by zero (or round a NaN) before any check
+    # each used to divide by zero (or round a NaN) before any check; a NaN
+    # outer tolerance ran to max_outer and an infinite one converged at once
     assert run(tmp_path, *args) == EXIT_INVALID
     assert message in capsys.readouterr().err
 
@@ -216,8 +222,20 @@ def test_workers_env_default(tmp_path, monkeypatch):
 
     assert resolve_workers(None, 8) == 2
     monkeypatch.delenv("PARAOPT_WORKERS")
-    assert resolve_workers(None, 8) == min(8, os.cpu_count() or 1)
+    assert resolve_workers(None, 8) == min(8, _parallel._usable_cpus())
     assert resolve_workers(3, 8) == 3
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    # a process pinned to 3 of 64 CPUs gets 3 workers, not 12
+    monkeypatch.delenv("PARAOPT_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
+                        raising=False)
+    assert _parallel.resolve_workers(None, 12) == 3
+    assert _parallel.resolve_workers(None, 2) == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _parallel.resolve_workers(None, 12) == 12
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])

@@ -1,3 +1,5 @@
+import ctypes
+import importlib.util
 import os
 import subprocess
 import sys
@@ -646,18 +648,23 @@ def _run_fresh(code: str) -> str:
     return out.stdout
 
 
-@pytest.mark.parametrize("preset", ["heat", "dahlquist"])
+@pytest.mark.parametrize("preset", ["heat", "dahlquist", "lotka_volterra"])
 def test_linear_runs_do_not_import_scipy_linalg(preset):
     # only a band factorization needs LAPACK; a linear solve, its reference
-    # and the spectral table are numpy alone
+    # and the spectral table are numpy alone, and a predator-prey solve and
+    # its reference load scipy's cython_lapack without the scipy.linalg
+    # package
     out = _run_fresh(f"""
         import sys
         from paraopt import (ParaoptOptions, make_dahlquist, make_grid,
-                             make_heat_1d, paraopt_solve, reference_solve)
+                             make_heat_1d, make_lotka_volterra, paraopt_solve,
+                             reference_solve)
         from paraopt import linear_analysis as la
-        problem = (make_heat_1d(n=20) if {preset!r} == "heat"
-                   else make_dahlquist(-1.0, 1.0))
-        grid = make_grid(1e-2, 4, 100, 10)
+        problem = {{"heat": lambda: make_heat_1d(n=20),
+                    "dahlquist": lambda: make_dahlquist(-1.0, 1.0),
+                    "lotka_volterra": make_lotka_volterra}}[{preset!r}]()
+        grid = (make_grid(1.0 / 3.0, 4, 500, 5) if {preset!r} == "lotka_volterra"
+                else make_grid(1e-2, 4, 100, 10))
         options = ParaoptOptions(inner_solver="krylov", workers=2)
         report = paraopt_solve(problem, grid, options,
                                reference=reference_solve(problem, grid, options))
@@ -666,6 +673,56 @@ def test_linear_runs_do_not_import_scipy_linalg(preset):
         print("scipy.linalg" in sys.modules)
     """)
     assert out.split() == ["False"]
+
+
+def test_scipy_linalg_imported_after_binding_shares_the_bound_module():
+    # the binder drops the entry that the extension makes for itself, and
+    # the package import later binds that same module object
+    out = _run_fresh("""
+        import ctypes, sys
+        from paraopt import propagators
+        routines = propagators._lapack()
+        print("scipy.linalg" in sys.modules,
+              propagators._CYTHON_LAPACK in sys.modules)
+        import scipy.linalg
+        capi = scipy.linalg.cython_lapack.__pyx_capi__
+        print(scipy.linalg.cython_lapack
+              is sys.modules[propagators._CYTHON_LAPACK],
+              [ctypes.cast(f, ctypes.c_void_p).value for f in routines]
+              == [propagators._capsule_address(capi[name])
+                  for name in routines._fields])
+    """)
+    assert out.split() == ["False", "False", "True", "True"]
+
+
+def test_binding_reuses_an_imported_scipy_linalg(monkeypatch):
+    # this module imports scipy.linalg, so its cython_lapack is in
+    # sys.modules: the binder takes it and loads nothing
+    import scipy.linalg
+
+    def load(spec):
+        raise AssertionError(f"{spec.name} loaded a second time")
+
+    monkeypatch.setattr(importlib.util, "module_from_spec", load)
+    monkeypatch.setattr(propagators, "_lapack_routines", None)
+    assert propagators._cython_lapack() is scipy.linalg.cython_lapack
+    routines = propagators._lapack()
+    capi = scipy.linalg.cython_lapack.__pyx_capi__
+    assert ([ctypes.cast(f, ctypes.c_void_p).value for f in routines]
+            == [propagators._capsule_address(capi[name])
+                for name in routines._fields])
+
+
+def test_band_factorization_without_scipy_raises_import_error(monkeypatch):
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args:
+                        None if name == "scipy" else find_spec(name, *args))
+    monkeypatch.delitem(sys.modules, propagators._CYTHON_LAPACK, raising=False)
+    monkeypatch.setattr(propagators, "_lapack_routines", None)
+    with pytest.raises(ImportError, match="scipy is not installed") as info:
+        _band_factor(2, _band_workspace(2, 4), "test")
+    assert info.value.name == "scipy"
+    assert propagators._lapack_routines is None
 
 
 def test_first_band_factorizations_in_two_threads_bind_once():

@@ -99,6 +99,17 @@ def test_options_reject_workers_that_are_not_positive_integers(workers):
     assert ParaoptOptions(workers=np.int64(2)).workers == 2
 
 
+@pytest.mark.parametrize("name", ["outer_tol", "inner_tol", "local_tol"])
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
+def test_options_reject_tolerances_that_are_not_finite_and_positive(name, tol):
+    # a NaN local_tol used to skip every cold window's Newton loop, a NaN
+    # outer_tol to run max_outer iterations, an infinite one to report
+    # convergence at X^0
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{name} must be finite and positive"):
+        ParaoptOptions(**{name: tol})
+
+
 # -- approximate Jacobian application ----------------------------------------
 
 def make_linearizations(p, g, X):
