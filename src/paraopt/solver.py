@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,7 +60,10 @@ class ParaoptOptions:
     inner_tol: float = 1e-10
     variant: str = VARIANT_NEWTON
     local_tol: float = DEFAULT_LOCAL_TOL
-    workers: Optional[int] = None           # None: min(L, usable CPUs)
+    # None: min(L, usable CPUs).  Linear problems run their windows inline
+    # whatever the count: a closed-form window takes microseconds, less
+    # than starting a pool
+    workers: Optional[int] = None
 
     def __post_init__(self):
         for name in ("outer_tol", "inner_tol", "local_tol"):
@@ -68,8 +71,10 @@ class ParaoptOptions:
             if not 0 < tol < math.inf:      # NaN fails both comparisons
                 raise InvalidParameterError(
                     f"{name} must be finite and positive, got {tol!r}")
-        if self.max_outer < 1:
-            raise InvalidParameterError("max_outer must be >= 1")
+        if not (isinstance(self.max_outer, (int, np.integer))
+                and self.max_outer >= 1):
+            raise InvalidParameterError(
+                f"max_outer must be a positive integer, got {self.max_outer!r}")
         if self.inner_solver not in (INNER_KRYLOV, INNER_DIRECT):
             raise InvalidParameterError(f"unknown inner solver {self.inner_solver!r}")
         if self.variant not in (VARIANT_NEWTON, VARIANT_GAUSS_NEWTON):
@@ -215,33 +220,54 @@ def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
     return F.ravel(), [r[2] for r in results]
 
 
-def _jacobian_matvec(linearizations, variant, workers):
-    """The coarse interface Jacobian J^G as an operator on (2L+1)n rows.
+class _WindowBlocks(NamedTuple):
+    """The derivative blocks of the L windows, each kind an (L, n, n) stack.
 
-    Built from the cached window derivative blocks; applied to the identity
-    it yields the assembled matrix.  The operator takes a vector or a matrix
-    of k columns and applies each kind of block to all windows at once:
-
-    * linear problems share one read-only block set over all windows
-      (``_LinearOps.blocks``), whose Q_y is zero.  The (Y_{l-1}, Lam_l)
-      pairs of all windows and columns form one (2n, L*k) panel, and the
-      Lam_{l+1} one (n, (L-1)*k) panel, so J^G takes one GEMM with
-      [P_y P_lam] and one with Q_lam;
-    * otherwise each window has its own blocks, stacked once into (L, n, n)
-      arrays: one stacked ``np.matmul`` per block kind, each window's product
-      bitwise equal to that block times that window's slice.
+    Entry l - 1 holds window l's block.  ``shared``: every window holds the
+    one read-only block set of a linear problem (``_LinearOps.blocks``,
+    whose Q_y is zero), broadcast over the windows, not copied.
     """
+
+    Py: Array
+    Pl: Array
+    Qy: Array
+    Ql: Array
+    shared: bool
+
+
+def _window_blocks(linearizations, variant, workers) -> _WindowBlocks:
+    """The windows' derivative blocks, from one parallel map over them."""
     L = len(linearizations)
-    problem = linearizations[0].problem
-    n = problem.dim
     gn = variant == VARIANT_GAUSS_NEWTON
     blocks = parallel_map(lambda lin: lin.blocks(gn), linearizations, workers)
-    if problem.is_linear:
-        Py, Pl, _, Ql = blocks[0]
-        P = np.hstack((Py, Pl))
+    if linearizations[0].problem.is_linear:
+        return _WindowBlocks(*(np.broadcast_to(b, (L,) + b.shape)
+                               for b in blocks[0]), shared=True)
+    return _WindowBlocks(*(np.stack(kind) for kind in zip(*blocks)),
+                         shared=False)
+
+
+def _jacobian_matvec(blocks: _WindowBlocks):
+    """The coarse interface Jacobian J^G as an operator on (2L+1)n rows.
+
+    The operator takes a vector or a matrix of k columns and applies each
+    kind of block to all windows at once:
+
+    * a shared block set (linear problems) has a zero Q_y.  The
+      (Y_{l-1}, Lam_l) pairs of all windows and columns form one
+      (2n, L*k) panel, and the Lam_{l+1} one (n, (L-1)*k) panel, so J^G
+      takes one GEMM with [P_y P_lam] and one with Q_lam;
+    * otherwise each window has its own blocks: one stacked ``np.matmul``
+      per block kind, each window's product bitwise equal to that block
+      times that window's slice.
+    """
+    L, n = blocks.Py.shape[:2]
+    if blocks.shared:
+        P = np.hstack((blocks.Py[0], blocks.Pl[0]))
+        Ql = blocks.Ql[0]
     else:
-        Py, Pl, Qy, Ql = (np.stack(kind) for kind in zip(*blocks))
-        Qy, Ql = Qy[1:], Ql[1:]          # window 1's Q enters no row
+        Py, Pl = blocks.Py, blocks.Pl
+        Qy, Ql = blocks.Qy[1:], blocks.Ql[1:]   # window 1's Q enters no row
 
     def panel_product(M, *parts):
         # M times every window's slice of the parts, each (m, rows, k), as
@@ -258,7 +284,7 @@ def _jacobian_matvec(linearizations, variant, workers):
         out[0] = w[0]
         # Y_l - P_y Y_{l-1} - P_lam Lam_l                      l = 1..L
         # Lam_l - Q_y Y_l - Q_lam Lam_{l+1}                    l = 1..L-1
-        if problem.is_linear:
+        if blocks.shared:
             out[1:L + 1] = w[1:L + 1] - panel_product(P, w[:L], w[L + 1:])
             out[L + 1:2 * L] = w[L + 1:2 * L] - panel_product(Ql, w[L + 2:])
         else:
@@ -268,6 +294,63 @@ def _jacobian_matvec(linearizations, variant, workers):
         return out.reshape(v.shape)
 
     return matvec
+
+
+def _block_solve(blocks: _WindowBlocks, rhs: Array) -> Array:
+    """Solve J^G x = rhs by block elimination over the windows.
+
+    Y_0 = rhs_0.  The other unknowns form the pairs z_l = (Lam_l, Y_l),
+    l = 1..L, whose rows are the matching conditions of Lam_l and Y_l:
+
+        Lam_l - Q_y(l+1) Y_l - Q_lam(l+1) Lam_{l+1}   (Lam_L - Y_L for l = L)
+        Y_l - P_lam(l) Lam_l - P_y(l) Y_{l-1}
+
+    J^G is block tridiagonal in z, with the pivot blocks
+    D_l = [[I, -Q_y(l+1)], [-P_lam(l), I]] ([[I, -I], [-P_lam(L), I]] for
+    l = L); P_y(l) couples z_l down to Y_{l-1}, Q_lam(l+1) up to Lam_{l+1}.
+    The forward sweep solves S_l [w_l, E_l] = [g_l, (Q_lam(l+1); 0)], so
+    that z_l = w_l + E_l Lam_{l+1}; inserting z_{l-1} into the Y_l rows
+    gives S_l = D_l with -P_y(l) E_{l-1}^Y added to its (Y, Lam) block, and
+    g_l = rhs_l plus P_y(l) w_{l-1}^Y in its Y rows.  The backward sweep
+    takes z_L = w_L, then z_l = w_l + E_l Lam_{l+1}.  Each S_l is solved by
+    LU with partial pivoting (``np.linalg.solve``), which raises
+    ``np.linalg.LinAlgError`` on an exactly singular pivot block.  For a
+    linear problem Q_y = 0, so every S_l but the last is unit block lower
+    triangular.  Memory is the L (2n, n + 1) solutions [w_l, E_l], not the
+    D x D matrix.
+    """
+    L, n = blocks.Py.shape[:2]
+    r = rhs.reshape(2 * L + 1, n)
+    eye = np.eye(n)
+    S = np.empty((2 * n, 2 * n))     # np.linalg.solve leaves it as it is
+    S[:n, :n] = eye
+    S[n:, n:] = eye
+    sols = []                  # [w_l, E_l] per window, (Lam; Y) rows
+    wy = r[0][:, None]         # Y_0 = rhs_0, the w^Y of window 0 (no E)
+    for ell in range(1, L + 1):
+        last = ell == L
+        S[:n, n:] = -eye if last else -blocks.Qy[ell]
+        coupled = blocks.Py[ell - 1] @ wy         # P_y(l) [w, E]^Y_{l-1}
+        np.negative(blocks.Pl[ell - 1], out=S[n:, :n])
+        if ell > 1:
+            S[n:, :n] -= coupled[:, 1:]
+        b = np.zeros((2 * n, 1 if last else n + 1))
+        b[:n, 0] = r[L + ell]
+        b[n:, 0] = r[ell] + coupled[:, 0]
+        if not last:
+            b[:n, 1:] = blocks.Ql[ell]
+        sol = np.linalg.solve(S, b)
+        sols.append(sol)
+        wy = sol[n:]
+    x = np.empty((2 * L + 1, n))
+    x[0] = r[0]
+    z = sols[-1][:, 0]
+    for ell in range(L, 0, -1):
+        if ell < L:                    # z_l = w_l + E_l Lam_{l+1}
+            sol = sols[ell - 1]
+            z = sol[:, 0] + sol[:, 1:] @ x[L + ell + 1]
+        x[L + ell], x[ell] = z[:n], z[n:]
+    return x.ravel()
 
 
 def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
@@ -281,8 +364,11 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
     residual; the iteration stops when the relative residual drops below
     ``tol``.  Memory follows the iterations taken, not ``max_iters``: the
     Krylov basis doubles when full, and the Hessenberg columns are kept as
-    lists of Python floats, on which the rotations run.  Returns (x,
-    iterations, relative residual, converged).
+    lists of Python floats, on which the rotations run.  The basis grows in
+    place (``ndarray.resize``, a ``realloc`` that glibc serves with
+    ``mremap`` for large blocks), so the old and the new basis are never
+    held side by side.  Returns (x, iterations, relative residual,
+    converged).
 
     Raises ``np.linalg.LinAlgError`` when a diagonal entry of the triangular
     factor is at most k * eps times its largest entry (k the iterations,
@@ -328,8 +414,8 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
             break
         if j + 1 < max_iters:
             if j + 1 == len(V):             # the basis is full: double it
-                extra = min(len(V), max_iters + 1 - len(V))
-                V = np.concatenate((V, np.empty((extra, D))))
+                del basis                   # resize needs V unreferenced
+                V.resize((min(2 * len(V), max_iters + 1), D), refcheck=True)
             V[j + 1] = w / h_next
     k = len(R)
     H = np.zeros((k, k))
@@ -343,21 +429,25 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
 
 def solve_jacobian_system(linearizations: list, rhs: Array,
                           options: ParaoptOptions, workers: int = 1):
-    """Solve J^G dX = rhs by full GMRES or by assembled dense LU.
+    """Solve J^G dX = rhs by full GMRES or by block elimination.
 
-    Raises :class:`SingularMatrixError` when J^G is singular: the LU meets a
-    zero pivot, or GMRES's triangular factor is numerically singular (see
-    :func:`gmres`).
+    Both inner solvers read the windows' derivative blocks, built by one
+    parallel map over ``linearizations``.  The direct solve eliminates over
+    the windows (see :func:`_block_solve`): O(L n^2) memory and O(L n^3)
+    time, never the (2L+1)n square matrix.  Raises
+    :class:`SingularMatrixError` when J^G is singular: a pivot block of the
+    elimination is singular, or GMRES's triangular factor is numerically
+    singular (see :func:`gmres`).
     """
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise InvalidParameterError("right-hand side must be finite")
-    matvec = _jacobian_matvec(linearizations, options.variant, workers)
+    blocks = _window_blocks(linearizations, options.variant, workers)
     try:
         if options.inner_solver == INNER_DIRECT:
-            J = matvec(np.eye(rhs.size))
-            return np.linalg.solve(J, rhs), InnerStats(0, True)
-        dX, iters, relres, ok = gmres(matvec, rhs, options.inner_tol, rhs.size)
+            return _block_solve(blocks, rhs), InnerStats(0, True)
+        dX, iters, relres, ok = gmres(_jacobian_matvec(blocks), rhs,
+                                      options.inner_tol, rhs.size)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"coarse interface Jacobian is singular ({options.inner_solver} "
@@ -415,6 +505,8 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
             _check_fits(problem, grid, V, name)
     L = grid.num_subintervals
     workers = resolve_workers(options.workers, L)
+    if problem.is_linear:
+        workers = 1
     X = default_initial_guess(problem, grid) if x0 is None else x0.copy()
 
     residuals = []

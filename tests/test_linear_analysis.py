@@ -108,7 +108,7 @@ def test_assemble_system_solution_satisfies_system():
 def test_coarse_assembly_matches_solver_jacobian():
     # entrywise agreement with the interface Jacobian built from windows
     from paraopt import coarse_linearize, make_dahlquist
-    from paraopt.solver import _jacobian_matvec
+    from paraopt.solver import _jacobian_matvec, _window_blocks
 
     g = make_grid(2.0, 2, 4, 2)
     setup = la.DahlquistSetup(-1.0, 1.3, g)
@@ -116,7 +116,7 @@ def test_coarse_assembly_matches_solver_jacobian():
     p = make_dahlquist(-1.0, 1.3)
     lins = [coarse_linearize(p, g, ell, [0.0], [0.0]) for ell in (1, 2)]
     D = 2 * g.num_subintervals + 1
-    J = _jacobian_matvec(lins, "newton", 1)(np.eye(D))
+    J = _jacobian_matvec(_window_blocks(lins, "newton", 1))(np.eye(D))
     assert np.abs(J - A_coarse).max() <= 1e-12
 
 

@@ -201,7 +201,7 @@ def test_gauss_newton_drops_second_order_coupling():
 def test_blocks_match_unit_actions():
     # the interface operator applied to unit vectors places -P_y, -P_lam,
     # -Q_y, -Q_lam at their window's rows and columns
-    from paraopt.solver import _jacobian_matvec
+    from paraopt.solver import _jacobian_matvec, _window_blocks
 
     p = make_lotka_volterra()
     L, n = 4, 2
@@ -209,7 +209,8 @@ def test_blocks_match_unit_actions():
     rng = np.random.default_rng(6)
     lins = [coarse_linearize(p, g, ell, [24.0, 11.0] + rng.standard_normal(2),
                              [0.5, 1.5]) for ell in range(1, L + 1)]
-    J = _jacobian_matvec(lins, "newton", 1)(np.eye(n * (2 * L + 1)))
+    J = _jacobian_matvec(_window_blocks(lins, "newton", 1))(
+        np.eye(n * (2 * L + 1)))
 
     def block(i, j):
         return J[n * i:n * (i + 1), n * j:n * (j + 1)]

@@ -16,8 +16,10 @@ from paraopt import (InterfaceVector, InvalidParameterError,
                      solve_jacobian_system)
 from paraopt import linear_analysis as la
 from paraopt import propagators, solver
+from paraopt._parallel import parallel_map
 from paraopt.propagators import _interpolate_nodes, window_recurrence_residual
-from paraopt.solver import _jacobian_matvec, gmres, verify_residual
+from paraopt.solver import (_jacobian_matvec, _window_blocks, gmres,
+                            verify_residual)
 
 
 def dahlquist_setup(sigma=-1.0, alpha=1.0, T=2.0, L=2, fine=4, coarse=2,
@@ -99,6 +101,16 @@ def test_options_reject_workers_that_are_not_positive_integers(workers):
     assert ParaoptOptions(workers=np.int64(2)).workers == 2
 
 
+@pytest.mark.parametrize("max_outer", [0, -3, 2.5, float("nan"), float("inf")])
+def test_options_reject_max_outer_that_is_not_a_positive_integer(max_outer):
+    # a NaN max_outer used to return at once with "iteration limit reached",
+    # an infinite one to leave only the divergence guard
+    with pytest.raises(InvalidParameterError,
+                       match="max_outer must be a positive integer"):
+        ParaoptOptions(max_outer=max_outer)
+    assert ParaoptOptions(max_outer=np.int64(3)).max_outer == 3
+
+
 @pytest.mark.parametrize("name", ["outer_tol", "inner_tol", "local_tol"])
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
 def test_options_reject_tolerances_that_are_not_finite_and_positive(name, tol):
@@ -118,9 +130,21 @@ def make_linearizations(p, g, X):
             for ell in range(1, g.num_subintervals + 1)]
 
 
+def jacobian_operator(lins, variant="newton"):
+    """The coarse interface Jacobian J^G as the inner solvers apply it."""
+    return _jacobian_matvec(_window_blocks(lins, variant, 1))
+
+
 def apply_jacobian(lins, dX, variant="newton"):
     """The coarse interface Jacobian J^G applied to a vector or matrix."""
-    return _jacobian_matvec(lins, variant, 1)(np.asarray(dX, dtype=float))
+    return jacobian_operator(lins, variant)(np.asarray(dX, dtype=float))
+
+
+def dense_solve(lins, rhs, variant="newton"):
+    """The dense oracle: J^G assembled column by column, then LU."""
+    rhs = np.asarray(rhs, dtype=float)
+    return np.linalg.solve(apply_jacobian(lins, np.eye(rhs.size), variant),
+                           rhs)
 
 
 def test_apply_jacobian_zero_vector():
@@ -237,25 +261,31 @@ def test_nonlinear_matvec_is_the_window_loop(L):
 
 
 def test_singular_jacobian_raises_singular_matrix_error(monkeypatch):
-    # with L = 1 and scalar blocks J^G = [[1, 0, 0], [-P_y, 1, -P_lam],
-    # [0, -1, 1]], whose determinant is 1 - P_lam
+    # scalar blocks P_y = 1/2, P_lam = 1, Q_y = 0, Q_lam = -2.  With L = 1,
+    # J^G = [[1, 0, 0], [-P_y, 1, -P_lam], [0, -1, 1]], whose determinant is
+    # 1 - P_lam.  With L = 3 the elimination's first two pivot blocks are
+    # regular and the last is singular: det J^G = 1 - P_lam (1 + a + a^2)
+    # with a = P_y Q_lam = -1
     def singular_blocks(self, gauss_newton=False):
-        return tuple(np.array([[b]]) for b in (0.5, 1.0, 0.0, 0.7))
+        return tuple(np.array([[b]]) for b in (0.5, 1.0, 0.0, -2.0))
 
     monkeypatch.setattr(propagators.CoarseLinearization, "blocks",
                         singular_blocks)
-    p, g = dahlquist_setup(L=1, T=1.0, fine=4, coarse=2)
-    lins = make_linearizations(p, g, default_initial_guess(p, g))
-    assert np.linalg.matrix_rank(apply_jacobian(lins, np.eye(3))) == 2
-    for inner in ("krylov", "assembled_direct"):
-        with pytest.raises(SingularMatrixError, match=inner):
-            solve_jacobian_system(lins, np.array([1.0, 0.0, 0.0]),
-                                  ParaoptOptions(inner_solver=inner))
-        # F(X^0) is not in the range of J^G: GMRES breaks down on a pivot of
-        # order eps, with a residual estimate that reads converged and a
-        # step of order 1e16 that the outer loop must not take
-        with pytest.raises(SingularMatrixError, match=inner):
-            paraopt_solve(p, g, ParaoptOptions(inner_solver=inner))
+    for L in (1, 3):
+        p, g = dahlquist_setup(L=L, T=float(L), fine=4, coarse=2)
+        lins = make_linearizations(p, g, default_initial_guess(p, g))
+        D = 2 * L + 1
+        assert np.linalg.matrix_rank(apply_jacobian(lins, np.eye(D))) == D - 1
+        for inner in ("krylov", "assembled_direct"):
+            with pytest.raises(SingularMatrixError, match=inner):
+                solve_jacobian_system(lins, np.eye(D)[0],
+                                      ParaoptOptions(inner_solver=inner))
+            # F(X^0) is not in the range of J^G: GMRES breaks down on a
+            # pivot of order eps, with a residual estimate that reads
+            # converged and a step of order 1e16 that the outer loop must
+            # not take
+            with pytest.raises(SingularMatrixError, match=inner):
+                paraopt_solve(p, g, ParaoptOptions(inner_solver=inner))
 
 
 # -- inner solves ------------------------------------------------------------
@@ -307,7 +337,7 @@ def test_gmres_relative_residual_on_a_heat_jacobian():
     p = make_heat_1d(n=20)
     g = make_grid(1e-2, 10, 1000, 100)
     lins = make_linearizations(p, g, default_initial_guess(p, g))
-    matvec = _jacobian_matvec(lins, "newton", 1)
+    matvec = jacobian_operator(lins)
     b = np.random.default_rng(3).standard_normal(21 * 20)
     x, iters, relres, ok = gmres(matvec, b, 1e-9, b.size)
     true = np.linalg.norm(b - matvec(x)) / np.linalg.norm(b)
@@ -341,8 +371,8 @@ def test_krylov_and_direct_agree(L, fine, coarse):
 def test_krylov_stagnation_flagged_not_raised():
     p, g = dahlquist_setup(sigma=-1.2, T=3.0, L=3, fine=8, coarse=2)
     lins = make_linearizations(p, g, default_initial_guess(p, g))
-    dX, iters, relres, ok = gmres(_jacobian_matvec(lins, "newton", 1),
-                                  np.ones(7), 1e-14, 1)
+    dX, iters, relres, ok = gmres(jacobian_operator(lins), np.ones(7),
+                                  1e-14, 1)
     assert not ok and relres > 1e-14
     assert iters == 1
     assert np.all(np.isfinite(dX))   # best iterate still returned
@@ -360,6 +390,77 @@ def test_krylov_and_direct_agree_nonlinear_blocks():
         lins, rhs, ParaoptOptions(inner_solver="krylov", inner_tol=1e-12))
     assert stats.converged
     assert np.abs(direct - krylov).max() <= 1e-8 * np.abs(direct).max()
+
+
+def oracle_case(n, L):
+    """Linearizations of an n-dimensional problem on L windows: Dahlquist
+    (n = 1), predator-prey about perturbed states (n = 2), heat (n >= 3)."""
+    rng = np.random.default_rng([n, L])
+    if n == 1:
+        p, g = dahlquist_setup(sigma=-1.2, T=float(L), L=L, fine=8, coarse=2)
+    elif n == 2:
+        p, g = make_lotka_volterra(), make_grid(1.0 / 3.0, L, 60, 6)
+    else:
+        p, g = make_heat_1d(n=n), make_grid(1e-2, L, 40, 8)
+    X = default_initial_guess(p, g)
+    if not p.is_linear:
+        X = InterfaceVector(X.states + rng.standard_normal(X.states.shape),
+                            X.adjoints)
+    return make_linearizations(p, g, X), rng
+
+
+# n = 200 with L = 12 is left out: its dense oracle is 5000 x 5000
+@pytest.mark.parametrize("n,L", [(n, L) for n in (1, 2, 20, 200)
+                                 for L in (1, 3, 12) if (n, L) != (200, 12)])
+def test_block_elimination_matches_the_dense_oracle(n, L):
+    lins, rng = oracle_case(n, L)
+    for variant in ("newton", "gauss_newton"):
+        rhs = rng.standard_normal((2 * L + 1) * n)
+        got, stats = solve_jacobian_system(
+            lins, rhs, ParaoptOptions(inner_solver="assembled_direct",
+                                      variant=variant))
+        want = dense_solve(lins, rhs, variant)
+        assert stats.converged and stats.iterations == 0
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_direct_inner_solve_holds_no_dense_jacobian():
+    # heat n = 200, L = 10: J^G is 4200 x 4200 (141 MB); the elimination
+    # holds ten (400, 201) solutions and one pivot block at a time
+    p = make_heat_1d(n=200)
+    g = make_grid(1e-2, 10, 1000, 100)
+    lins = make_linearizations(p, g, default_initial_guess(p, g))
+    rhs = np.random.default_rng(4).standard_normal(21 * 200)
+    options = ParaoptOptions(inner_solver="assembled_direct")
+    tracemalloc.start()
+    try:
+        dX, _ = solve_jacobian_system(lins, rhs, options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    matvec = jacobian_operator(lins)
+    assert np.linalg.norm(matvec(dX) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_gmres_grows_its_basis_in_place():
+    # 100 iterations fill a basis grown 17 -> 34 -> 68 -> 101 rows; a copy
+    # into a larger array would hold 68 + 101 rows at once
+    D, max_iters = 20_000, 100
+    scale = np.linspace(1.0, 1e4, D)
+    b = np.ones(D)
+    tracemalloc.start()
+    try:
+        x, iters, relres, ok = gmres(lambda v: scale * v, b, 1e-300,
+                                     max_iters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iters == max_iters and not ok
+    basis = (max_iters + 1) * D * 8
+    assert peak <= 1.1 * basis
+    true = np.linalg.norm(b - scale * x) / np.linalg.norm(b)
+    assert abs(relres - true) <= 1e-6 * true
 
 
 # -- initial guess -----------------------------------------------------------
@@ -857,6 +958,26 @@ def test_warm_start_rejects_a_trajectory_of_another_grid():
 
 
 # -- determinism across worker counts ----------------------------------------
+
+def test_linear_windows_run_inline(monkeypatch):
+    # closed-form windows cost less than a pool start: every map of a linear
+    # solve runs on one worker; a nonlinear solve keeps the requested count
+    seen = []
+
+    def recording(fn, items, workers):
+        seen.append(workers)
+        return parallel_map(fn, items, workers)
+
+    monkeypatch.setattr(solver, "parallel_map", recording)
+    p = make_heat_1d(n=10)
+    g = make_grid(1e-2, 6, 30, 6)
+    rep = paraopt_solve(p, g, ParaoptOptions(workers=4, outer_tol=1e-11))
+    assert rep.converged and seen and set(seen) == {1}
+    seen.clear()
+    p, g = lv_preset()
+    paraopt_solve(p, g, ParaoptOptions(workers=4, max_outer=1, **LV_PRESET))
+    assert set(seen) == {4}
+
 
 @pytest.mark.parametrize("preset", ["lv", "heat", "heat200_krylov",
                                     "heat200_direct"])
