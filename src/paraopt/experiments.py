@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -583,7 +583,12 @@ def timing_run(preset: str = "lotka_volterra",
 
     Wall times and speedups are reported, never asserted (they are
     machine-dependent); bitwise agreement of the numerical output across
-    worker counts is the contract under test.
+    worker counts is the contract under test.  An untimed solve and an
+    untimed ``reference_solve`` run first, so that no timed call pays what
+    a process does once: building the linear operator sets, binding LAPACK.
+    The serial baseline is a timed ``reference_solve`` on the same grid
+    (param ``reference_seconds``); ``speedup_vs_serial`` divides it by each
+    solve's time.
     """
     if preset == "lotka_volterra":
         problem = make_lotka_volterra(alpha=5e-2)
@@ -596,32 +601,34 @@ def timing_run(preset: str = "lotka_volterra",
         grid = make_grid(1.0, 10, 400, 4)
     else:
         raise InvalidParameterError(f"unknown preset {preset!r}")
+    direct = ParaoptOptions(workers=1, inner_solver="assembled_direct")
+    paraopt_solve(problem, grid, direct)
+    reference_solve(problem, grid, direct)
+    t0 = time.perf_counter()
+    reference_solve(problem, grid, direct)
+    serial = time.perf_counter() - t0
     rows = []
-    baseline = None
-    base_time = None
-    all_equal = True
+    signatures = set()
     for w in worker_counts:
-        options = ParaoptOptions(workers=int(w),
-                                 inner_solver="assembled_direct")
         t0 = time.perf_counter()
-        report = paraopt_solve(problem, grid, options)
+        report = paraopt_solve(problem, grid, replace(direct, workers=int(w)))
         elapsed = time.perf_counter() - t0
-        signature = (report.final.to_stacked().tobytes(),
-                     report.residuals.tobytes())
-        if baseline is None:
-            baseline, base_time = signature, elapsed
-        elif signature != baseline:
-            all_equal = False
+        signatures.add((report.final.to_stacked().tobytes(),
+                        report.residuals.tobytes()))
+        base_time = rows[0][1] if rows else elapsed
         rows.append((int(w), elapsed, base_time / elapsed,
-                     int(report.iterations)))
+                     int(report.iterations), serial / elapsed))
     result = ExperimentResult(
         f"timing_{preset}",
         params=dict(preset=preset, worker_counts=tuple(int(w) for w in worker_counts),
-                    reference_speedups=TABLE2_SPEEDUPS))
+                    reference_speedups=TABLE2_SPEEDUPS,
+                    reference_seconds=serial))
     result.artifacts.append(Artifact(
-        "timing", ["workers", "wall_seconds", "speedup", "outer_iterations"],
+        "timing", ["workers", "wall_seconds", "speedup", "outer_iterations",
+                   "speedup_vs_serial"],
         rows))
     result.checks.append(GoldenCheck(
-        name="bitwise_identical_across_workers", value=float(all_equal),
+        name="bitwise_identical_across_workers",
+        value=float(len(signatures) <= 1),
         expected=1.0, atol=0.0))
     return result

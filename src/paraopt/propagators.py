@@ -41,8 +41,10 @@ control picks up an extra solve with the step matrix):
   at least one Newton step: a start that already meets the tolerance would
   otherwise keep its old P and Q, ignoring the new Y and Lam_plus, which
   stalls the outer iteration near the tolerance.  The outer iteration
-  passes predicted starts: the coarse trajectory interpolated onto the
-  fine nodes on its first residual, afterwards the Parareal update of the
+  carries one state per window, its coarse and fine trajectories at the
+  last iterate (``solver._WindowState``), and each window's task builds
+  its start from that state: the coarse trajectory interpolated onto the
+  fine nodes at the first iterate, afterwards the Parareal update of the
   previous fine trajectory by the change of the coarse trajectory over the
   outer step.  Linear windows are closed-form and ignore ``start``.
   A window solve allocates its band matrix once and refills it on every

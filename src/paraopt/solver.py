@@ -10,15 +10,18 @@ The nonlinear residual enforces the matching conditions
 
 with P, Q the fine window propagators.  Each outer step solves
 J^G(X) dX = -F(X) where J^G carries the *coarse* derivative blocks of P and
-Q, then updates X += dX.  The coarse windows are linearized at every
-iterate before its residual, and their trajectories predict where the fine
-windows land: the first residual starts each nonlinear fine window from its
-coarse trajectory at X^0, and each later one from the Parareal update
-F_old + G_new - G_old of its previous fine trajectory, so the fine Newton
-iterations only correct.  The L window solves of a residual evaluation and
-the L coarse linearizations are independent tasks run on a worker pool;
-assembly and norms happen in a fixed order, so results are identical for
-any worker count.
+Q, then updates X += dX.  Each window carries one state through the
+iteration: its coarse and its fine trajectory at the last iterate.  Every
+history row takes one path: linearize the coarse windows at the iterate,
+run the fine pass of its residual, replace the states.  Each window's task
+builds its fine start from its state, a prediction of where the fine window
+lands: at X^0 the coarse trajectory interpolated onto the fine nodes,
+afterwards the Parareal update F_old + G_new - G_old of the previous fine
+trajectory, so the fine Newton iterations only correct.  Building the start
+frees the window's old coarse trajectory.  The L window solves of a
+residual evaluation and the L coarse linearizations are independent tasks
+run on a worker pool; assembly and norms happen in a fixed order, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -156,41 +159,43 @@ def _window_task(solve, phase, problem, grid, X, tol, starts=None):
     return task
 
 
-def _fine_starts(problem, grid, lins, trajs=None, old_lins=None):
-    """Predicted starts of the L fine windows; None for a linear problem.
+class _WindowState:
+    """One window's coarse and fine trajectories at the last iterate.
 
-    Without ``trajs`` (the first residual), each window starts from its
-    coarse trajectory in ``lins`` interpolated onto the fine nodes.
-    Otherwise ``trajs`` and ``old_lins`` are the fine trajectories and the
-    coarse linearizations at the previous iterate, and each window starts
-    from the Parareal update F_old + G_new - G_old: its fine trajectory plus
-    the change of its coarse trajectory from ``old_lins`` to ``lins``,
-    interpolated onto the fine nodes and added in place, so the old
-    trajectory is not read again.
-    The starts are built on first access, inside each window's task, which
-    sets the window's entry of ``old_lins`` to None once it is read.
+    The outer iteration carries one state per window from iterate to
+    iterate; both trajectories are None before the first residual.
     """
-    if problem.is_linear:        # closed-form windows take no start
-        return None
-    steps = grid.fine_steps
 
-    def start(ell):
-        new = lins[ell - 1].trajectory
-        if trajs is None:
-            def build():
-                return (_interpolate_nodes(new.states, steps),
-                        _interpolate_nodes(new.adjoints, steps))
-        else:
-            def build():
-                old = old_lins[ell - 1].trajectory
-                old_lins[ell - 1] = None
-                y, lam = trajs[ell - 1].states, trajs[ell - 1].adjoints
-                y += _interpolate_nodes(new.states - old.states, steps)
-                lam += _interpolate_nodes(new.adjoints - old.adjoints, steps)
-                return y, lam
+    def __init__(self):
+        self.coarse = self.fine = None
+
+    def start(self, coarse: LocalTrajectory,
+              grid: TimeGrid) -> LocalTrajectory:
+        """The start of the window's fine solve at a new iterate.
+
+        ``coarse`` is the window's coarse trajectory at that iterate.  At
+        the first iterate the start is ``coarse`` interpolated onto the fine
+        nodes; afterwards it is the Parareal update F_old + G_new - G_old:
+        the state's fine trajectory plus the change from its coarse
+        trajectory to ``coarse``, interpolated onto the fine nodes and added
+        in place, so the old fine trajectory is not read again.  The start
+        is built on first access, inside the window's task; building it
+        replaces the state's coarse trajectory by ``coarse``, so the old one
+        is freed before the fine solve.  A linear window is closed-form and
+        never builds its start.
+        """
+        steps = grid.fine_steps
+
+        def build():
+            old, self.coarse = self.coarse, coarse
+            if old is None:
+                return (_interpolate_nodes(coarse.states, steps),
+                        _interpolate_nodes(coarse.adjoints, steps))
+            y, lam = self.fine.states, self.fine.adjoints
+            y += _interpolate_nodes(coarse.states - old.states, steps)
+            lam += _interpolate_nodes(coarse.adjoints - old.adjoints, steps)
+            return y, lam
         return LocalTrajectory(grid.fine_step, steps, builder=build)
-
-    return [start(ell) for ell in range(1, grid.num_subintervals + 1)]
 
 
 def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
@@ -198,9 +203,10 @@ def residual(problem: ControlProblem, grid: TimeGrid, X: InterfaceVector,
              starts: Optional[list] = None):
     """Matching-condition residual F(X) and the window trajectories.
 
-    ``starts`` holds L trajectories on the fine grid, such as the predicted
-    ones of :func:`_fine_starts`; each window's Newton iteration starts from
-    its own (see :func:`fine_propagate`).
+    ``starts`` holds L trajectories on the fine grid; each window's Newton
+    iteration starts from its own (see :func:`fine_propagate`).  The outer
+    iteration passes the predicted starts of :meth:`_WindowState.start`,
+    which each window's task builds when its solve reads them.
     """
     L = grid.num_subintervals
     n = problem.dim
@@ -487,10 +493,12 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     The iteration starts from ``x0``, or from the paper's
     :func:`default_initial_guess` when ``x0`` is None.  When ``reference``
     is given, the max-norm interface error against it is recorded per
-    iteration (the convergence-history metric of the experiments).  The
-    coarse windows are linearized at each iterate before its residual; the
-    linearizations serve both that residual's fine-window starts (see
-    :func:`_fine_starts`) and the outer step taken from the iterate.
+    iteration (the convergence-history metric of the experiments).  Each
+    history row linearizes the coarse windows at the iterate, runs the fine
+    pass of its residual and replaces each window's state (see
+    :class:`_WindowState`) with the row's coarse and fine trajectories; the
+    linearizations serve both the fine windows' starts and the outer step
+    taken from the iterate.
     Returns a report; ``converged`` is False when the iteration limit or the
     divergence guard hits.  Raises :class:`NoConvergenceError`, with the
     report so far attached, when a GMRES inner solve ends above
@@ -516,13 +524,6 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
     newton_iterations = []
     message = ""
 
-    def record(F, trajs, seconds):
-        residuals.append(float(np.abs(F).max()))
-        if errors is not None:
-            errors.append(X.diff_inf(reference))
-        wall_times.append(seconds)
-        newton_iterations.append(tuple(t.newton_iterations for t in trajs))
-
     def report(converged):
         return ConvergenceReport(
             converged=converged,
@@ -536,21 +537,32 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
             newton_iterations=newton_iterations,
         )
 
-    def linearize(X):
-        return parallel_map(
+    windows = [_WindowState() for _ in range(L)]
+    t0 = time.perf_counter()
+    while True:
+        lins = parallel_map(
             _window_task(coarse_linearize, "coarse", problem, grid, X,
                          options.local_tol),
             range(1, L + 1), workers)
-
-    t0 = time.perf_counter()
-    lins = linearize(X)
-    F, trajs = residual(problem, grid, X, options.local_tol, workers,
-                        starts=_fine_starts(problem, grid, lins))
-    record(F, trajs, time.perf_counter() - t0)
-
-    converged = residuals[0] <= options.outer_tol
-    guard = DIVERGENCE_FACTOR * max(residuals[0], 1e-300)
-    while not converged and len(residuals) <= options.max_outer:
+        F, trajs = residual(
+            problem, grid, X, options.local_tol, workers,
+            [w.start(lin.trajectory, grid) for w, lin in zip(windows, lins)])
+        wall_times.append(time.perf_counter() - t0)
+        for w, traj in zip(windows, trajs):
+            w.fine = traj
+        residuals.append(float(np.abs(F).max()))
+        if errors is not None:
+            errors.append(X.diff_inf(reference))
+        newton_iterations.append(tuple(t.newton_iterations for t in trajs))
+        converged = residuals[-1] <= options.outer_tol
+        if converged:
+            break
+        if residuals[-1] > DIVERGENCE_FACTOR * max(residuals[0], 1e-300):
+            message = "divergence guard triggered"
+            break
+        if len(residuals) > options.max_outer:
+            message = "iteration limit reached"
+            break
         t0 = time.perf_counter()
         dX, stats = solve_jacobian_system(lins, -F, options, workers)
         if not stats.converged:
@@ -561,19 +573,8 @@ def paraopt_solve(problem: ControlProblem, grid: TimeGrid,
                 f"{stats.relative_residual:.3e} > inner_tol "
                 f"{options.inner_tol:.3e}")
             raise NoConvergenceError(message, report=report(False))
-        X = InterfaceVector.from_stacked(X.to_stacked() + dX, L, problem.dim)
-        old_lins, lins = lins, linearize(X)
-        F, trajs = residual(
-            problem, grid, X, options.local_tol, workers,
-            starts=_fine_starts(problem, grid, lins, trajs, old_lins))
         inner_iterations.append(stats.iterations)
-        record(F, trajs, time.perf_counter() - t0)
-        converged = residuals[-1] <= options.outer_tol
-        if not converged and residuals[-1] > guard:
-            message = "divergence guard triggered"
-            break
-    if not converged and not message:
-        message = "iteration limit reached"
+        X = InterfaceVector.from_stacked(X.to_stacked() + dX, L, problem.dim)
     return report(converged)
 
 

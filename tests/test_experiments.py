@@ -5,6 +5,7 @@ from paraopt import (InvalidParameterError, default_initial_guess,
                      fine_propagate, make_grid, make_heat_1d,
                      make_lotka_volterra, propagators)
 from paraopt import experiments as ex
+from paraopt import solver
 
 
 def test_table31_all_entries_match():
@@ -145,6 +146,30 @@ def test_timing_run_bitwise_identical():
     rows = result.artifact("timing").rows
     assert [row[0] for row in rows] == [1, 4, 10]
     assert rows[0][2] == 1.0   # speedup of the baseline worker count
+    assert result.artifact("timing").columns[-1] == "speedup_vs_serial"
+    serial = result.params["reference_seconds"]
+    assert serial > 0
+    assert [row[4] for row in rows] == [serial / row[1] for row in rows]
+
+
+def test_timing_run_times_warm_solves(monkeypatch):
+    # a process builds its linear operator sets once; an untimed warm-up
+    # solve must pay for that, not the first timed one
+    fresh = propagators._OperatorCache(maxsize=64)
+    monkeypatch.setattr(propagators, "_linear_ops", fresh)
+    monkeypatch.setattr(solver, "_linear_ops", fresh)
+    solve, built = ex.paraopt_solve, []
+
+    def counted(*args, **kwargs):
+        before = fresh.cache_info().misses
+        report = solve(*args, **kwargs)
+        built.append(fresh.cache_info().misses - before)
+        return report
+
+    monkeypatch.setattr(ex, "paraopt_solve", counted)
+    ex.timing_run("dahlquist", worker_counts=(1, 1))
+    assert built[0] > 0                 # the untimed warm-up
+    assert built[1:] == [0, 0]
 
 
 def test_invariant_suites_small():

@@ -57,3 +57,18 @@ def test_readme_table_names_exist():
                 continue                   # the command, not an attribute
             assert _resolves(module, name), \
                 f"README lists `{name}` but {module_name} has no such name"
+
+
+def test_docstring_cross_references_resolve():
+    # :func:, :class: and :meth: references in a module name that module's
+    # own attributes
+    package = Path(paraopt.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(
+            "paraopt" if path.stem == "__init__" else f"paraopt.{path.stem}")
+        text = path.read_text(encoding="utf-8")
+        for name in re.findall(r":(?:func|class|meth):`([^`]+)`", text):
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            assert obj is not None, f"{path.name} refers to missing {name}"

@@ -1,5 +1,7 @@
+import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -809,7 +811,7 @@ def test_linearizations_are_timed_with_the_row_of_their_iterate(
     assert rep.wall_times[1] < 0.1 * L <= rep.wall_times[0]
 
 
-def test_predicted_starts_follow_the_outer_step():
+def test_predicted_starts_follow_the_outer_step(monkeypatch):
     # one outer step by hand: each start is the Parareal update
     # F_old + G_new - G_old, the old fine trajectory plus the change of the
     # coarse one interpolated onto the fine nodes, added in place
@@ -818,6 +820,9 @@ def test_predicted_starts_follow_the_outer_step():
     X = default_initial_guess(p, g)
     F, trajs = residual(p, g, X)
     old_lins = make_linearizations(p, g, X)
+    windows = [solver._WindowState() for _ in range(L)]
+    for window, lin, traj in zip(windows, old_lins, trajs):
+        window.coarse, window.fine = lin.trajectory, traj
     dX, _ = solve_jacobian_system(old_lins, -F, ParaoptOptions(**LV_PRESET))
     X = InterfaceVector.from_stacked(X.to_stacked() + dX, L, n)
     lins = make_linearizations(p, g, X)
@@ -830,15 +835,41 @@ def test_predicted_starts_follow_the_outer_step():
                                              g.fine_steps),
             fine.adjoints + _interpolate_nodes(new.adjoints - old.adjoints,
                                                g.fine_steps)))
-    starts = solver._fine_starts(p, g, lins, trajs, old_lins)
     for ell in range(1, L + 1):
-        start = starts[ell - 1]
+        start = windows[ell - 1].start(lins[ell - 1].trajectory, g)
         assert start.states is trajs[ell - 1].states
         assert start.adjoints is trajs[ell - 1].adjoints
         assert np.array_equal(start.states, expected[ell - 1][0])
         assert np.array_equal(start.adjoints, expected[ell - 1][1])
-    # each window let go of its old linearization once it read it
-    assert old_lins == [None] * L
+        assert windows[ell - 1].coarse is lins[ell - 1].trajectory
+
+    # in a solve, after window l's fine solve at row k >= 1 its coarse
+    # trajectory of row k - 1 is gone: building the start let go of it
+    g = make_grid(1.0 / 3.0, 6, 50, 50)
+    L = g.num_subintervals
+    coarse_refs, released = [], []
+
+    def recorded_coarse(*args, **kwargs):
+        lin = coarse_linearize(*args, **kwargs)
+        coarse_refs.append(weakref.ref(lin.trajectory))
+        return lin
+
+    def checked_fine(problem, grid, ell, *args, **kwargs):
+        out = fine_propagate(problem, grid, ell, *args, **kwargs)
+        row = len(released) // L
+        if row >= 1:
+            previous = coarse_refs[(row - 1) * L + ell - 1]
+            released.append(previous() is None)
+        else:
+            released.append(True)
+        return out
+
+    monkeypatch.setattr(solver, "coarse_linearize", recorded_coarse)
+    monkeypatch.setattr(solver, "fine_propagate", checked_fine)
+    rep = paraopt_solve(p, g, ParaoptOptions(workers=1, **LV_PRESET))
+    assert rep.converged and rep.iterations >= 2
+    assert len(released) == L * (rep.iterations + 1)
+    assert all(released)
 
 
 def test_predicted_starts_save_newton_steps_in_the_outer_steps(monkeypatch):
@@ -846,11 +877,10 @@ def test_predicted_starts_save_newton_steps_in_the_outer_steps(monkeypatch):
     options = ParaoptOptions(workers=1, **LV_PRESET)
     predicted = paraopt_solve(p, g, options)
 
-    def previous_trajectories(problem, grid, lins, trajs=None,
-                              old_lins=None):
-        return trajs
+    def previous_trajectory(window, coarse, grid):
+        return window.fine
 
-    monkeypatch.setattr(solver, "_fine_starts", previous_trajectories)
+    monkeypatch.setattr(solver._WindowState, "start", previous_trajectory)
     plain = paraopt_solve(p, g, options)
     assert predicted.converged and plain.converged
 
@@ -858,6 +888,56 @@ def test_predicted_starts_save_newton_steps_in_the_outer_steps(monkeypatch):
         return sum(map(sum, report.newton_iterations[1:]))
 
     assert steps_after_row_zero(predicted) < steps_after_row_zero(plain)
+
+
+def test_the_benchmark_hooks_see_every_layer(monkeypatch):
+    # the benchmark's traced run times the layers by replacing these
+    # attributes, so the solve must look each one up when it calls it; the
+    # fine windows must run inside residual, and paraopt_solve must map the
+    # coarse windows itself
+    hooks = [(solver, "paraopt_solve"), (solver, "residual"),
+             (solver, "fine_propagate"), (solver, "coarse_linearize"),
+             (solver, "solve_jacobian_system"), (solver, "parallel_map"),
+             (propagators.CoarseLinearization, "blocks")]
+    calls = {name: 0 for _, name in hooks}
+    running = {name: 0 for _, name in hooks}      # in any thread
+    fine_outside_residual, coarse_map_callers = [], []
+    lock = threading.Lock()
+    local = threading.local()
+
+    def recorder(name, fn):
+        def recorded(*args, **kwargs):
+            stack = local.__dict__.setdefault("stack", [])
+            caller = stack[-1] if stack else None
+            with lock:
+                calls[name] += 1
+                running[name] += 1
+                if name == "fine_propagate" and not running["residual"]:
+                    fine_outside_residual.append(args[2])
+                coarse_before = calls["coarse_linearize"]
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+                with lock:
+                    running[name] -= 1
+                    if (name == "parallel_map"
+                            and calls["coarse_linearize"] > coarse_before):
+                        coarse_map_callers.append(caller)
+        return recorded
+
+    for owner, name in hooks:
+        monkeypatch.setattr(owner, name, recorder(name, vars(owner)[name]))
+    p, g = lv_preset()
+    rep = solver.paraopt_solve(p, g, ParaoptOptions(workers=2, **LV_PRESET))
+    assert rep.converged
+    rows, L = rep.iterations + 1, g.num_subintervals
+    assert all(calls.values()), calls
+    assert calls["residual"] == rows
+    assert calls["fine_propagate"] == calls["coarse_linearize"] == rows * L
+    assert not fine_outside_residual
+    assert coarse_map_callers == ["paraopt_solve"] * rows
 
 
 def test_unconverged_inner_solve_raises_with_the_partial_report(monkeypatch):
