@@ -13,9 +13,9 @@ Exit codes:
 Configuration values come from an optional flat ``key=value`` file
 (``--config=FILE``) overridden by command-line flags.  Numeric output uses
 shortest round-trip formatting (up to 17 significant digits) and LF line
-endings so identical configurations produce byte-identical files; history
-files additionally honor ``--zero-timings`` to blank the one
-machine-dependent column.
+endings so identical configurations produce byte-identical files;
+``--zero-timings`` also blanks the machine-dependent columns: wall times and
+the speedups derived from them.
 """
 
 from __future__ import annotations
@@ -288,13 +288,16 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+# machine-dependent columns: wall times and the speedups derived from them
+_TIMING_COLUMNS = ("wall_seconds", "speedup", "speedup_vs_serial")
+
+
 def _write_artifact(artifact, out_dir, fmt, zero_timings=False):
     os.makedirs(out_dir, exist_ok=True)
     rows = artifact.rows
-    if zero_timings and "wall_seconds" in artifact.columns:
-        j = artifact.columns.index("wall_seconds")
-        rows = [tuple(0.0 if i == j else v for i, v in enumerate(row))
-                for row in rows]
+    if zero_timings:
+        rows = [tuple(0.0 if c in _TIMING_COLUMNS else v
+                      for c, v in zip(artifact.columns, row)) for row in rows]
     path = os.path.join(out_dir, f"{artifact.name}.{fmt}")
     if fmt == "csv":
         lines = [",".join(artifact.columns)]

@@ -588,8 +588,11 @@ def timing_run(preset: str = "lotka_volterra",
     a process does once: building the linear operator sets, binding LAPACK.
     The serial baseline is a timed ``reference_solve`` on the same grid
     (param ``reference_seconds``); ``speedup_vs_serial`` divides it by each
-    solve's time.
+    solve's time.  Raises :class:`InvalidParameterError` on an empty
+    ``worker_counts``, which would leave nothing to compare.
     """
+    if not worker_counts:
+        raise InvalidParameterError("need at least one worker count")
     if preset == "lotka_volterra":
         problem = make_lotka_volterra(alpha=5e-2)
         grid = _lv_grid(1.0 / 3.0, 12, 1e-3, fine_total)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -39,9 +39,9 @@ from .errors import (InvalidParameterError, NewtonDivergenceError,
                      SingularStepError)
 from .model import ControlProblem, InterfaceVector, TimeGrid
 from .propagators import (DEFAULT_LOCAL_TOL, LocalTrajectory,
-                          _interpolate_nodes, _linear_ops,
-                          _solve_window_nonlinear, coarse_linearize,
-                          fine_propagate, window_recurrence_residual)
+                          _interpolate_nodes, _solve_window_nonlinear,
+                          coarse_linearize, fine_propagate,
+                          window_recurrence_residual)
 
 Array = np.ndarray
 
@@ -587,13 +587,16 @@ def reference_solve(problem: ControlProblem, grid: TimeGrid,
     on the fine step and samples it at the interface times of ``grid``.
     Nonlinear problems take one damped banded Newton solve of all fine steps
     with the terminal condition built in (tolerance ``local_tol``, at most
-    ``DEFAULT_MAX_NEWTON`` steps).  Linear problems take the outer iteration on
-    the one-window grid with the direct inner solve (the system has only 3n
-    rows), whose exact derivative blocks converge in one step, and are
-    restricted with the closed-form window maps.  Raises
-    :class:`NoConvergenceError` when the solve fails; a window or step
-    failure (its cause, or a :class:`SingularStepError` raised as it is)
-    carries the phase "reference".
+    ``DEFAULT_MAX_NEWTON`` steps); they raise :class:`NoConvergenceError`
+    when it fails.  Linear problems read no ``options``: the one-window
+    matching condition Y_T = P_y y_init + P_lam (Y_T - y_target) is affine,
+    so one solve with I - P_lam (symmetric positive definite, I + G/alpha)
+    on the blocks of :func:`coarse_linearize` on the one-window grid gives
+    Lam_L, and :func:`fine_propagate` restricts it to ``grid``: Q backward
+    for the adjoints, then P forward for the states.  A window or step
+    failure (the cause of the :class:`NoConvergenceError`, or a
+    :class:`SingularStepError` raised as it is) carries the phase
+    "reference".
     """
     options = options or ParaoptOptions()
     single = grid.with_single_subinterval()
@@ -605,26 +608,23 @@ def reference_solve(problem: ControlProblem, grid: TimeGrid,
                 single.fine_steps, options.local_tol, context="reference")
             idx = np.arange(L + 1) * N
             return InterfaceVector(y[idx], lam[idx[1:]])
-        # an inexact GMRES solve would leave |F| at inner_tol * |F(X^0)| and
-        # cost a second outer step
-        report = paraopt_solve(problem, single,
-                               replace(options, inner_solver=INNER_DIRECT))
+        # Lam_L = Y_T - y_target and Y_T = P_y y_init + P_lam Lam_L, so
+        # (I - P_lam) Lam_L = P_y y_init - y_target
+        P_y, P_lam, _, _ = coarse_linearize(
+            problem, single, 1, problem.y_init, problem.y_target).blocks()
+        adjoints = [np.linalg.solve(np.eye(problem.dim) - P_lam,
+                                    P_y @ problem.y_init - problem.y_target)]
+        for ell in range(L, 1, -1):       # a linear Q does not read Y
+            adjoints.insert(0, fine_propagate(problem, grid, ell,
+                                              problem.y_init, adjoints[0])[1])
+        states = [problem.y_init]
+        for ell in range(1, L + 1):
+            states.append(fine_propagate(problem, grid, ell, states[-1],
+                                         adjoints[ell - 1])[0])
     except SingularStepError as exc:
         exc.phase = "reference"
         raise
     except NewtonDivergenceError as exc:
         exc.phase = "reference"
         raise NoConvergenceError(f"reference solve diverged: {exc}") from exc
-    if not report.converged:
-        raise NoConvergenceError("reference solve did not converge",
-                                 report=report)
-    ops = _linear_ops(problem, grid.fine_step, N)
-    adj = np.empty((L, problem.dim))
-    adj[L - 1] = report.final.adjoints[0]
-    for ell in range(L - 1, 0, -1):
-        adj[ell - 1] = ops.SNT @ adj[ell]
-    states = np.empty((L + 1, problem.dim))
-    states[0] = report.final.states[0]
-    for ell in range(L):
-        states[ell + 1] = ops.SN @ states[ell] - (ops.G @ adj[ell]) / problem.alpha
-    return InterfaceVector(states, adj)
+    return InterfaceVector(np.array(states), np.array(adjoints))

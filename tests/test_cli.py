@@ -190,6 +190,20 @@ def test_byte_identical_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_bench_zero_timings_byte_identical(tmp_path):
+    # wall times and every speedup derived from them are blanked
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["bench", "--preset=dahlquist", "--worker-counts=1,2",
+                     "--zero-timings", f"--output-dir={out}"]) == EXIT_OK
+    assert (a / "timing.csv").read_bytes() == (b / "timing.csv").read_bytes()
+    rows = (a / "timing.csv").read_text().splitlines()
+    assert rows[0] == ("workers,wall_seconds,speedup,outer_iterations,"
+                       "speedup_vs_serial")
+    assert [row.split(",")[:3] for row in rows[1:]] == [["1", "0.0", "0.0"],
+                                                        ["2", "0.0", "0.0"]]
+
+
 def test_json_output(tmp_path):
     assert run(tmp_path, "analyze", "--format=json") == EXIT_OK
     import json

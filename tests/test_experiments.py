@@ -5,7 +5,6 @@ from paraopt import (InvalidParameterError, default_initial_guess,
                      fine_propagate, make_grid, make_heat_1d,
                      make_lotka_volterra, propagators)
 from paraopt import experiments as ex
-from paraopt import solver
 
 
 def test_table31_all_entries_match():
@@ -152,12 +151,16 @@ def test_timing_run_bitwise_identical():
     assert [row[4] for row in rows] == [serial / row[1] for row in rows]
 
 
+def test_timing_run_needs_a_worker_count():
+    with pytest.raises(InvalidParameterError, match="at least one worker"):
+        ex.timing_run("dahlquist", worker_counts=())
+
+
 def test_timing_run_times_warm_solves(monkeypatch):
     # a process builds its linear operator sets once; an untimed warm-up
     # solve must pay for that, not the first timed one
     fresh = propagators._OperatorCache(maxsize=64)
     monkeypatch.setattr(propagators, "_linear_ops", fresh)
-    monkeypatch.setattr(solver, "_linear_ops", fresh)
     solve, built = ex.paraopt_solve, []
 
     def counted(*args, **kwargs):

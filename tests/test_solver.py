@@ -628,9 +628,9 @@ def test_reference_solve_heat_single_newton():
     ref = reference_solve(p, g)
     F, _ = residual(p, g, ref)
     assert np.abs(F).max() <= 1e-10
-    # the linear reference is the outer iteration on the one-window grid;
-    # its exact derivative blocks converge in a single step (heat_run's grid
-    # and options)
+    # on the one-window grid the coarse blocks are the exact derivative
+    # blocks, so the outer iteration there converges in a single step
+    # (heat_run's grid and options); the reference takes that step directly
     options = ParaoptOptions(outer_tol=1e-10, inner_solver="krylov",
                              inner_tol=1e-12)
     single = make_grid(1e-2, 10, 100, 10).with_single_subinterval()
@@ -638,9 +638,9 @@ def test_reference_solve_heat_single_newton():
     assert report.converged and report.iterations == 1
 
 
-def test_linear_reference_takes_one_direct_inner_solve(monkeypatch):
-    # a caller's loose GMRES tolerance must not cost the reference a second
-    # outer step: the one-window system is solved directly
+def test_linear_reference_takes_no_inner_solve(monkeypatch):
+    # a caller's loose GMRES tolerance does not reach the reference: it
+    # solves its one-window n x n system directly and reads no options
     calls = []
 
     def counting(lins, rhs, options, workers=1):
@@ -653,9 +653,68 @@ def test_linear_reference_takes_one_direct_inner_solve(monkeypatch):
     ref = reference_solve(p, g, ParaoptOptions(outer_tol=1e-11,
                                                inner_solver="krylov",
                                                inner_tol=1e-4))
-    assert calls == ["assembled_direct"]
+    assert calls == []
     F, _ = residual(p, g, ref)
     assert np.abs(F).max() <= 1e-10
+
+
+def _raising(*args, **kwargs):
+    raise AssertionError("the linear reference runs no outer iteration")
+
+
+@pytest.mark.parametrize("case", ["heat", "dahlquist"])
+def test_linear_reference_runs_no_outer_iteration(monkeypatch, case):
+    for name in ("paraopt_solve", "residual", "solve_jacobian_system",
+                 "gmres"):
+        monkeypatch.setattr(solver, name, _raising)
+    if case == "heat":
+        p, g = make_heat_1d(n=20), make_grid(1e-2, 10, 100, 10)
+    else:
+        p, g = make_dahlquist(-16.0, 1.0), make_grid(1.0, 10, 400, 4)
+    F, _ = residual(p, g, reference_solve(p, g))
+    assert np.abs(F).max() <= 1e-12
+
+
+def test_linear_reference_residual_at_round_off():
+    # the heat_krylov benchmark grid: n = 200, L = 10, 10k fine steps a window
+    p = make_heat_1d(n=200, alpha=1e-4)
+    g = make_grid(1e-2, 10, 10_000, 1_000)
+    F, _ = residual(p, g, reference_solve(p, g))
+    assert np.abs(F).max() <= 1e-14
+
+
+def _outer_iteration_reference(problem, grid):
+    """The earlier linear reference: the outer iteration on the one-window
+    grid with the direct inner solve, restricted to ``grid`` with the
+    closed-form window maps."""
+    report = paraopt_solve(problem, grid.with_single_subinterval(),
+                           ParaoptOptions(inner_solver="assembled_direct"))
+    assert report.converged
+    L = grid.num_subintervals
+    ops = propagators._linear_ops(problem, grid.fine_step, grid.fine_steps)
+    adj = np.empty((L, problem.dim))
+    adj[L - 1] = report.final.adjoints[0]
+    for ell in range(L - 1, 0, -1):
+        adj[ell - 1] = ops.SNT @ adj[ell]
+    states = np.empty((L + 1, problem.dim))
+    states[0] = report.final.states[0]
+    for ell in range(L):
+        states[ell + 1] = (ops.SN @ states[ell]
+                           - (ops.G @ adj[ell]) / problem.alpha)
+    return InterfaceVector(states, adj)
+
+
+@pytest.mark.parametrize("case", ["heat_1e-4", "heat_1e-8", "dahlquist"])
+def test_linear_reference_matches_the_outer_iteration(case):
+    if case == "dahlquist":
+        p, g = make_dahlquist(-16.0, 1.0), make_grid(1.0, 10, 400, 4)
+    else:
+        p = make_heat_1d(n=50, alpha=float(case.split("_")[1]))
+        g = make_grid(1e-2, 10, 100, 10)
+    ref = reference_solve(p, g)
+    oracle = _outer_iteration_reference(p, g)
+    scale = max(np.abs(oracle.states).max(), np.abs(oracle.adjoints).max())
+    assert ref.diff_inf(oracle) <= 1e-12 * scale
 
 
 def test_single_window_lotka_volterra_long_horizon_diverges():
@@ -685,8 +744,9 @@ def test_reference_solve_reports_newton_failure(monkeypatch):
 
 @pytest.mark.parametrize("error", [SingularStepError, NewtonDivergenceError])
 def test_linear_reference_failure_names_its_phase(monkeypatch, error):
-    # the linear reference runs paraopt_solve on one window, whose own
-    # handler names the phase "fine" first
+    # the linear reference restricts its solution with the fine window
+    # maps; a failure there is the reference's, not a window's of an outer
+    # iteration
     def failing(*args, **kwargs):
         raise error("window failed")
 
