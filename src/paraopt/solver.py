@@ -254,50 +254,52 @@ def _window_blocks(linearizations, variant, workers) -> _WindowBlocks:
 
 
 def _jacobian_matvec(blocks: _WindowBlocks):
-    """The coarse interface Jacobian J^G as an operator on (2L+1)n rows.
+    """The coarse interface Jacobian J^G as an operator on (2L+1)n entries.
 
-    The operator takes a vector or a matrix of k columns and applies each
-    kind of block to all windows at once:
+    ``matvec(v, out)`` writes J^G v into ``out``; both are contiguous
+    vectors of (2L+1)n entries, read as (2L+1, n) rows Y_0..Y_L,
+    Lam_1..Lam_L.  The operator keeps no reference to either.  Each kind of
+    block is applied to all windows at once:
 
-    * a shared block set (linear problems) has a zero Q_y.  The
-      (Y_{l-1}, Lam_l) pairs of all windows and columns form one
-      (2n, L*k) panel, and the Lam_{l+1} one (n, (L-1)*k) panel, so J^G
-      takes one GEMM with [P_y P_lam] and one with Q_lam;
+    * a shared block set (linear problems) has a zero Q_y.  The L rows
+      (Y_{l-1}, Lam_l), copied into one (L, 2n) array the operator owns,
+      take one row-major GEMM with [P_y P_lam]^T, and the L - 1 rows
+      Lam_{l+1} one with Q_lam^T, both transposes stored C-contiguous
+      once per operator; both GEMMs write into ``out``;
     * otherwise each window has its own blocks: one stacked ``np.matmul``
       per block kind, each window's product bitwise equal to that block
       times that window's slice.
     """
     L, n = blocks.Py.shape[:2]
     if blocks.shared:
-        P = np.hstack((blocks.Py[0], blocks.Pl[0]))
-        Ql = blocks.Ql[0]
+        # C-contiguous transposes: at n = 200, L = 10 the two GEMMs took
+        # 96 us on transposed views against 58 us on copies (2-core Xeon
+        # VM, scipy's OpenBLAS)
+        PT = np.ascontiguousarray(np.hstack((blocks.Py[0], blocks.Pl[0])).T)
+        QlT = np.ascontiguousarray(blocks.Ql[0].T)
+        pairs = np.empty((L, 2 * n))
     else:
         Py, Pl = blocks.Py, blocks.Pl
         Qy, Ql = blocks.Qy[1:], blocks.Ql[1:]   # window 1's Q enters no row
 
-    def panel_product(M, *parts):
-        # M times every window's slice of the parts, each (m, rows, k), as
-        # one GEMM on the panel whose column l*k + c stacks their [l, :, c]
-        m, _, k = parts[0].shape
-        panel = np.concatenate([p.transpose(1, 0, 2) for p in parts])
-        z = M @ panel.reshape(len(panel), m * k)
-        return z.reshape(M.shape[0], m, k).transpose(1, 0, 2)
-
-    def matvec(v):
-        # rows of w: Y_0..Y_L, then Lam_1..Lam_L; one trailing column axis
-        w = v.reshape(2 * L + 1, n, -1)
-        out = np.empty_like(w)
-        out[0] = w[0]
+    def matvec(v, out):
         # Y_l - P_y Y_{l-1} - P_lam Lam_l                      l = 1..L
         # Lam_l - Q_y Y_l - Q_lam Lam_{l+1}                    l = 1..L-1
         if blocks.shared:
-            out[1:L + 1] = w[1:L + 1] - panel_product(P, w[:L], w[L + 1:])
-            out[L + 1:2 * L] = w[L + 1:2 * L] - panel_product(Ql, w[L + 2:])
+            w, o = v.reshape(2 * L + 1, n), out.reshape(2 * L + 1, n)
+            pairs[:, :n] = w[:L]
+            pairs[:, n:] = w[L + 1:]
+            np.matmul(pairs, PT, out=o[1:L + 1])
+            np.subtract(w[1:L + 1], o[1:L + 1], out=o[1:L + 1])
+            np.matmul(w[L + 2:], QlT, out=o[L + 1:2 * L])
+            np.subtract(w[L + 1:2 * L], o[L + 1:2 * L], out=o[L + 1:2 * L])
         else:
-            out[1:L + 1] = w[1:L + 1] - Py @ w[:L] - Pl @ w[L + 1:]
-            out[L + 1:2 * L] = w[L + 1:2 * L] - Qy @ w[1:L] - Ql @ w[L + 2:]
-        out[2 * L] = w[2 * L] - w[L]
-        return out.reshape(v.shape)
+            # one trailing column axis for the stacked products
+            w, o = v.reshape(2 * L + 1, n, 1), out.reshape(2 * L + 1, n, 1)
+            o[1:L + 1] = w[1:L + 1] - Py @ w[:L] - Pl @ w[L + 1:]
+            o[L + 1:2 * L] = w[L + 1:2 * L] - Qy @ w[1:L] - Ql @ w[L + 2:]
+        o[0] = w[0]
+        np.subtract(w[2 * L], w[L], out=o[2 * L])
 
     return matvec
 
@@ -359,22 +361,72 @@ def _block_solve(blocks: _WindowBlocks, rhs: Array) -> Array:
     return x.ravel()
 
 
-def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
+# An Arnoldi step whose Gram-corrected projection leaves less than this share
+# of the norm of J^G v_j has cancelled so much that rounding dominates what
+# is left; one more classical pass then restores orthogonality (the
+# reorthogonalization test of Daniel, Gragg, Kaufman & Stewart, Math. Comp.
+# 30, 1976, with a fixed ratio).  On the heat_krylov systems the test never
+# fires; on heat n = 50 with alpha = 1e-8 it fires on most steps.
+_REORTH_CANCELLATION = 1e-2
+
+
+def _orthogonalize(V: Array, gram: Array, j: int, work: Array):
+    """Arnoldi's projection of row j + 1 of V against rows 0..j, in place.
+
+    Row j + 1 holds w = J^G v_j on entry, and on return what is left of it
+    after the projection onto the basis B = V[:j + 1].  One GEMM with B
+    gives S = [v_j; w] [B; w]^T: B w, ||w||^2, and the Gram row B v_j of
+    v_j, lagged by one step, which goes into ``gram``, the symmetric
+    off-diagonal part E of B B^T (rows and columns 0..j).  The coefficients
+    c = (I - E) B w, the first-order correction of (B B^T)^{-1} B w, make
+    one pass w -= c^T B orthogonal to working precision as long as the
+    projection cancels little (low-synchronization Gram-Schmidt,
+    Swirydowicz, Langou, Ananthan, Yang & Thomas, Numer. Linear Algebra
+    Appl. 28, 2021).  So one step reads B twice.  When ||w|| falls below
+    ``_REORTH_CANCELLATION`` times its value on entry, one more classical
+    pass c2 = B w, w -= c2^T B follows and c += c2.  ``work`` is a scratch
+    vector of V's row length.  Returns (c, ||w||, whether the second pass
+    ran).
+    """
+    basis = V[:j + 1]
+    w = V[j + 1]
+    S = V[j:j + 2] @ V[:j + 2].T
+    gram[j, :j] = gram[:j, j] = S[0, :j]
+    c = S[1, :j + 1]
+    c = c - gram[:j + 1, :j + 1] @ c
+    np.matmul(c, basis, out=work)
+    w -= work
+    norm = float(np.linalg.norm(w))
+    extra = norm < _REORTH_CANCELLATION * math.sqrt(S[1, j + 1])
+    if extra:
+        c2 = basis @ w
+        np.matmul(c2, basis, out=work)
+        w -= work
+        c += c2
+        norm = float(np.linalg.norm(w))
+    return c, norm, extra
+
+
+def gmres(matvec: Callable[[Array, Array], None], b: Array, tol: float,
           max_iters: int):
     """Full (unrestarted, unpreconditioned) GMRES from the zero iterate.
 
-    Arnoldi with two passes of classical Gram-Schmidt per step, each two
-    matrix-vector products with the basis block; the second pass removes
-    what rounding left of the first, which keeps the basis orthogonal to
-    working precision ("twice is enough").  Givens rotations update the
+    ``matvec(v, out)`` writes the matrix times ``v`` into ``out``, both
+    contiguous vectors of ``b``'s size, and keeps no reference to either.
+    Each Arnoldi step has the operator write J v_j into the next row of the
+    Krylov basis and projects it there (:func:`_orthogonalize`): a
+    Gram-corrected projection that reads the basis twice, plus a classical
+    pass when it leaves less than ``_REORTH_CANCELLATION`` times the norm
+    of J v_j, which keeps the basis orthogonal to working precision.  A
+    step allocates no vector of ``b``'s size.  Givens rotations update the
     residual; the iteration stops when the relative residual drops below
     ``tol``.  Memory follows the iterations taken, not ``max_iters``: the
-    Krylov basis doubles when full, and the Hessenberg columns are kept as
-    lists of Python floats, on which the rotations run.  The basis grows in
-    place (``ndarray.resize``, a ``realloc`` that glibc serves with
-    ``mremap`` for large blocks), so the old and the new basis are never
-    held side by side.  Returns (x, iterations, relative residual,
-    converged).
+    Krylov basis and its Gram array double when full, and the Hessenberg
+    columns are kept as lists of Python floats, on which the rotations run.
+    The basis grows in place (``ndarray.resize``, a ``realloc`` that glibc
+    serves with ``mremap`` for large blocks), so the old and the new basis
+    are never held side by side.  Returns (x, iterations, relative
+    residual, converged).
 
     Raises ``np.linalg.LinAlgError`` when a diagonal entry of the triangular
     factor is at most k * eps times its largest entry (k the iterations,
@@ -390,20 +442,25 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
     D = b.size
     max_iters = min(max_iters, D)
     V = np.empty((min(max_iters, 16) + 1, D))
+    gram = np.zeros((len(V), len(V)))
+    work = np.empty(D)
     V[0] = b / beta
     R = []             # rotated Hessenberg columns, the triangular factor
     cs, sn = [], []
     g = [beta]
     relres = 1.0
     for j in range(max_iters):
-        basis = V[:j + 1]
-        w = matvec(V[j])
-        c1 = basis @ w
-        w = w - c1 @ basis      # a new array, whatever matvec returned
-        c2 = basis @ w
-        w -= c2 @ basis
-        h = (c1 + c2).tolist()
-        h_next = float(np.linalg.norm(w))
+        if j + 1 == len(V):                 # the basis is full: double it
+            # no view of V is alive here (_orthogonalize's die with its
+            # call, and matvec keeps none), so resize needs no reference
+            # check, which a profiler's reference to V.resize would fail
+            V.resize((min(2 * len(V), max_iters + 1), D), refcheck=False)
+            grown = np.zeros((len(V), len(V)))
+            grown[:j + 1, :j + 1] = gram
+            gram = grown
+        matvec(V[j], V[j + 1])
+        h, h_next, _ = _orthogonalize(V, gram, j, work)
+        h = h.tolist()
         for i in range(j):
             h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
                               -sn[i] * h[i] + cs[i] * h[i + 1])
@@ -418,11 +475,7 @@ def gmres(matvec: Callable[[Array], Array], b: Array, tol: float,
         relres = abs(g[j + 1]) / beta
         if relres <= tol or h_next == 0.0:  # happy breakdown: exact in span
             break
-        if j + 1 < max_iters:
-            if j + 1 == len(V):             # the basis is full: double it
-                del basis                   # resize needs V unreferenced
-                V.resize((min(2 * len(V), max_iters + 1), D), refcheck=True)
-            V[j + 1] = w / h_next
+        V[j + 1] /= h_next
     k = len(R)
     H = np.zeros((k, k))
     for col, h in enumerate(R):

@@ -1,3 +1,4 @@
+import cProfile
 import os
 
 import numpy as np
@@ -13,6 +14,14 @@ from paraopt.cli import (EXIT_CONFLICT, EXIT_GOLDEN, EXIT_INVALID,
 
 def run(tmp_path, *args):
     return main(list(args) + [f"--output-dir={tmp_path}"])
+
+
+def test_heat_run_under_a_profiler(tmp_path):
+    # a profiler's hook holds a reference to GMRES's basis while the basis
+    # grows past 16 vectors; a reference-checked resize raised ValueError
+    profiler = cProfile.Profile()
+    assert profiler.runcall(run, tmp_path, "heat", "--zero-timings",
+                            "--delta-t=1e-5", "--n=20") == EXIT_OK
 
 
 def test_empty_argv_prints_usage_exit_2(capsys):

@@ -1,8 +1,10 @@
+import sys
 import threading
 import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from paraopt import linear_analysis as la
 from paraopt import propagators, solver
 from paraopt._parallel import parallel_map
 from paraopt.propagators import _interpolate_nodes, window_recurrence_residual
-from paraopt.solver import (_jacobian_matvec, _window_blocks, gmres,
+from paraopt.solver import (_REORTH_CANCELLATION, _jacobian_matvec,
+                            _orthogonalize, _window_blocks, gmres,
                             verify_residual)
 
 
@@ -137,9 +140,21 @@ def jacobian_operator(lins, variant="newton"):
     return _jacobian_matvec(_window_blocks(lins, variant, 1))
 
 
+def apply_columns(matvec, v):
+    """``matvec(v, out)`` applied to a vector, or to each matrix column."""
+    v = np.asarray(v, dtype=float)
+    cols = v.reshape(len(v), -1)
+    out = np.empty_like(cols)
+    col = np.empty(len(v))
+    for c in range(cols.shape[1]):
+        matvec(np.ascontiguousarray(cols[:, c]), col)
+        out[:, c] = col
+    return out.reshape(v.shape)
+
+
 def apply_jacobian(lins, dX, variant="newton"):
     """The coarse interface Jacobian J^G applied to a vector or matrix."""
-    return jacobian_operator(lins, variant)(np.asarray(dX, dtype=float))
+    return apply_columns(jacobian_operator(lins, variant), dX)
 
 
 def dense_solve(lins, rhs, variant="newton"):
@@ -204,22 +219,21 @@ def dense_jacobian(blocks):
     return J
 
 
-def loop_matvec(blocks, v):
-    """J^G applied window by window, one block product at a time."""
+def loop_matvec(blocks, v, out):
+    """J^G v written into ``out``, window by window, one block product at a
+    time."""
     L = len(blocks)
     n = blocks[0][0].shape[0]
-    w = v.reshape((2 * L + 1, n) + v.shape[1:])
+    w, o = v.reshape(2 * L + 1, n), out.reshape(2 * L + 1, n)
     dY, dLam = w[:L + 1], w[L + 1:]
-    out = np.empty_like(w)
-    out[0] = dY[0]
+    o[0] = dY[0]
     for ell in range(1, L + 1):
         Py, Pl, _, _ = blocks[ell - 1]
-        out[ell] = dY[ell] - Py @ dY[ell - 1] - Pl @ dLam[ell - 1]
+        o[ell] = dY[ell] - Py @ dY[ell - 1] - Pl @ dLam[ell - 1]
     for ell in range(1, L):
         _, _, Qy, Ql = blocks[ell]
-        out[L + ell] = dLam[ell - 1] - Qy @ dY[ell] - Ql @ dLam[ell]
-    out[2 * L] = dLam[L - 1] - dY[L]
-    return out.reshape(v.shape)
+        o[L + ell] = dLam[ell - 1] - Qy @ dY[ell] - Ql @ dLam[ell]
+    o[2 * L] = dLam[L - 1] - dY[L]
 
 
 def matvec_inputs(D, seed):
@@ -230,7 +244,7 @@ def matvec_inputs(D, seed):
 
 @pytest.mark.parametrize("L", [1, 4])
 def test_linear_matvec_matches_dense_jacobian(L):
-    # shared blocks: one GEMM per block kind over all windows and columns
+    # shared blocks: one GEMM per block kind over all windows
     p = make_heat_1d(n=20)
     g = make_grid(1e-2, L, 40, 8)
     lins = make_linearizations(p, g, default_initial_guess(p, g))
@@ -258,7 +272,8 @@ def test_nonlinear_matvec_is_the_window_loop(L):
         for v in matvec_inputs(J.shape[0], L):
             got = apply_jacobian(lins, v, variant)
             assert got.shape == v.shape
-            assert np.array_equal(got, loop_matvec(blocks, v))
+            assert np.array_equal(
+                got, apply_columns(partial(loop_matvec, blocks), v))
             assert np.allclose(got, J @ v, rtol=1e-13, atol=1e-13)
 
 
@@ -292,14 +307,19 @@ def test_singular_jacobian_raises_singular_matrix_error(monkeypatch):
 
 # -- inner solves ------------------------------------------------------------
 
+def dense_operator(A):
+    """A dense matrix as a GMRES operator, ``matvec(v, out)``."""
+    return lambda v, out: np.matmul(A, v, out=out)
+
+
 def test_gmres_solves_small_system():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((12, 12)) + 6 * np.eye(12)
     b = rng.standard_normal(12)
-    x, iters, relres, ok = gmres(lambda v: A @ v, b, 1e-12, 12)
+    x, iters, relres, ok = gmres(dense_operator(A), b, 1e-12, 12)
     assert ok and relres <= 1e-12
     assert np.allclose(A @ x, b, atol=1e-10)
-    x0, it0, _, ok0 = gmres(lambda v: A @ v, np.zeros(12), 1e-12, 12)
+    x0, it0, _, ok0 = gmres(dense_operator(A), np.zeros(12), 1e-12, 12)
     assert ok0 and it0 == 0 and np.all(x0 == 0.0)
 
 
@@ -308,7 +328,8 @@ def test_gmres_memory_follows_iterations_taken():
     b = np.ones(60_000)
     tracemalloc.start()
     try:
-        x, iters, relres, ok = gmres(lambda v: 2.0 * v, b, 1e-12, 60_000)
+        x, iters, relres, ok = gmres(
+            lambda v, out: np.multiply(2.0, v, out=out), b, 1e-12, 60_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,7 +346,7 @@ def test_gmres_relative_residual_is_the_true_one(max_iters):
     A = np.eye(60) + rng.standard_normal((60, 60)) / 12.0
     assert not np.allclose(A, A.T)
     b = rng.standard_normal(60)
-    x, iters, relres, ok = gmres(lambda v: A @ v, b, 1e-10, max_iters)
+    x, iters, relres, ok = gmres(dense_operator(A), b, 1e-10, max_iters)
     true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert iters <= max_iters and ok == (relres <= 1e-10)
     assert ok == (max_iters == 60)
@@ -342,7 +363,7 @@ def test_gmres_relative_residual_on_a_heat_jacobian():
     matvec = jacobian_operator(lins)
     b = np.random.default_rng(3).standard_normal(21 * 20)
     x, iters, relres, ok = gmres(matvec, b, 1e-9, b.size)
-    true = np.linalg.norm(b - matvec(x)) / np.linalg.norm(b)
+    true = np.linalg.norm(b - apply_columns(matvec, x)) / np.linalg.norm(b)
     assert ok and iters >= 100
     assert abs(relres - true) <= 1e-6 * true
 
@@ -442,7 +463,8 @@ def test_direct_inner_solve_holds_no_dense_jacobian():
         tracemalloc.stop()
     assert peak <= 16 * 2**20
     matvec = jacobian_operator(lins)
-    assert np.linalg.norm(matvec(dX) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert (np.linalg.norm(apply_columns(matvec, dX) - rhs)
+            <= 1e-12 * np.linalg.norm(rhs))
 
 
 def test_gmres_grows_its_basis_in_place():
@@ -453,8 +475,9 @@ def test_gmres_grows_its_basis_in_place():
     b = np.ones(D)
     tracemalloc.start()
     try:
-        x, iters, relres, ok = gmres(lambda v: scale * v, b, 1e-300,
-                                     max_iters)
+        x, iters, relres, ok = gmres(
+            lambda v, out: np.multiply(scale, v, out=out), b, 1e-300,
+            max_iters)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -463,6 +486,103 @@ def test_gmres_grows_its_basis_in_place():
     assert peak <= 1.1 * basis
     true = np.linalg.norm(b - scale * x) / np.linalg.norm(b)
     assert abs(relres - true) <= 1e-6 * true
+
+
+def test_gmres_grows_its_basis_under_a_profiler():
+    # a sys.setprofile hook holds a reference to the bound V.resize during
+    # the call, which a reference-checked resize counted as a view of V
+    rng = np.random.default_rng(11)
+    A = np.eye(60) + rng.standard_normal((60, 60)) / 12.0
+    b = rng.standard_normal(60)
+    hook = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        x, iters, relres, ok = gmres(dense_operator(A), b, 1e-10, 60)
+    finally:
+        sys.setprofile(hook)
+    assert ok and iters > 16
+    assert np.linalg.norm(b - A @ x) <= 2e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("cancellation, extra, bound",
+                         [(1e-1, False, 1e-14), (1e-6, True, 1e-13)])
+def test_arnoldi_step_reorthogonalizes_only_under_cancellation(
+        cancellation, extra, bound):
+    # w = (a unit vector in the span of B) + cancellation * (a unit vector
+    # orthogonal to it): the projection leaves about cancellation * ||w||
+    D, k = 500, 40
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((D, k + 1)))
+    V = np.empty((k + 1, D))
+    V[:k] = q[:, :k].T
+    gram = V[:k] @ V[:k].T
+    np.fill_diagonal(gram, 0.0)
+    gram = np.pad(gram, (0, 1))
+    a = rng.standard_normal(k)
+    a /= np.linalg.norm(a)
+    V[k] = a @ V[:k] + cancellation * q[:, k]
+    c, norm, ran = _orthogonalize(V, gram, k - 1, np.empty(D))
+    assert ran == extra
+    assert (cancellation < _REORTH_CANCELLATION) == extra
+    assert norm == np.linalg.norm(V[k])
+    assert abs(norm - cancellation) <= 1e-3 * cancellation
+    assert np.abs(V[:k] @ V[k]).max() <= bound * norm
+    assert np.allclose(c, a, rtol=0, atol=1e-14)
+
+
+def arnoldi_basis_checks(monkeypatch, lins, rhs, inner_tol):
+    """GMRES on J^G x = rhs: (basis orthogonality, true relative residual,
+    steps with a second pass, steps)."""
+    bases, extras = [], []
+
+    def recording(V, gram, j, work):
+        c, norm, extra = _orthogonalize(V, gram, j, work)
+        bases.append(V)
+        extras.append(extra)
+        return c, norm, extra
+
+    monkeypatch.setattr(solver, "_orthogonalize", recording)
+    matvec = jacobian_operator(lins)
+    x, iters, relres, ok = gmres(matvec, rhs, inner_tol, rhs.size)
+    assert ok and len(extras) == iters
+    B = bases[-1][:iters]               # every row normalized
+    ortho = np.abs(B @ B.T - np.eye(iters)).max()
+    true = (np.linalg.norm(rhs - apply_columns(matvec, x))
+            / np.linalg.norm(rhs))
+    return ortho, true, sum(extras), iters
+
+
+def test_arnoldi_basis_on_the_heat_krylov_system(monkeypatch):
+    # the first inner system of the heat benchmark's grid (n = 200,
+    # alpha = 1e-4, 10 windows of 10k fine steps): the projection never
+    # cancels enough to need a second pass
+    p = make_heat_1d(
+        n=200, alpha=1e-4, y_init_fn=lambda x: np.exp(-100 * (x - 0.5) ** 2),
+        y_target_fn=lambda x: 0.5 * (np.exp(-100 * (x - 0.25) ** 2)
+                                     + np.exp(-100 * (x - 0.75) ** 2)))
+    g = make_grid(1e-2, 10, 10_000, 1_000)
+    X = default_initial_guess(p, g)
+    F, _ = residual(p, g, X)
+    ortho, true, extra, iters = arnoldi_basis_checks(
+        monkeypatch, make_linearizations(p, g, X), -F, 1e-12)
+    assert iters > 64 and extra == 0
+    assert ortho <= 1e-14
+    assert true <= 2e-12
+
+
+def test_arnoldi_basis_on_a_cancelling_heat_system(monkeypatch):
+    # alpha = 1e-8: most projections cancel over 99% of J^G v_j, and the
+    # second pass keeps the basis orthogonal (the corrected projection
+    # alone left it at about 1e-11)
+    p = make_heat_1d(n=50, alpha=1e-8)
+    g = make_grid(1e-2, 10, 1000, 100)
+    X = default_initial_guess(p, g)
+    F, _ = residual(p, g, X)
+    ortho, true, extra, iters = arnoldi_basis_checks(
+        monkeypatch, make_linearizations(p, g, X), -F, 1e-12)
+    assert extra >= iters // 2
+    assert ortho <= 1e-13
+    assert true <= 2e-12
 
 
 # -- initial guess -----------------------------------------------------------
