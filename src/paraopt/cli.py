@@ -6,7 +6,6 @@ Exit codes:
     2  usage shown / malformed invocation or value (parse error)
     3  golden-check failure
     4  unknown configuration key
-    5  conflicting configuration values
     6  invalid parameter value (rejected by the model constructors), or
        another solver error: a singular step matrix or coarse Jacobian
 
@@ -15,7 +14,9 @@ Configuration values come from an optional flat ``key=value`` file
 shortest round-trip formatting (up to 17 significant digits) and LF line
 endings so identical configurations produce byte-identical files;
 ``--zero-timings`` also blanks the machine-dependent columns: wall times and
-the speedups derived from them.
+the speedups derived from them.  A run's scalar parameters and results, when
+it has any, go to ``params.json`` beside its artifacts, with sorted keys;
+``--zero-timings`` blanks the serial time ``reference_seconds`` there.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import experiments as ex
 from . import linear_analysis as la
 from .errors import (InvalidParameterError, NewtonDivergenceError,
                      NoConvergenceError, ParaoptError)
-from .model import make_dahlquist, make_grid, make_heat_1d, step_count
+from .model import make_dahlquist, make_grid, make_heat_1d
 from .solver import ParaoptOptions, paraopt_solve
 
 EXIT_OK = 0
@@ -39,7 +40,6 @@ EXIT_NO_CONVERGENCE = 1
 EXIT_USAGE = 2
 EXIT_GOLDEN = 3
 EXIT_UNKNOWN_KEY = 4
-EXIT_CONFLICT = 5
 EXIT_INVALID = 6
 
 USAGE = """\
@@ -82,8 +82,8 @@ _COMMON = {
 SCHEMAS = {
     "analyze": {
         "sigma": (float, -16.0), "alpha": (float, 1.0), "T": (float, 100.0),
-        "L": (int, 30), "coarse-per-sub": (int, None),
-        "fine-per-coarse": (int, 100), "dt": (float, None),
+        "L": (int, 30), "coarse-per-sub": (int, 50),
+        "fine-per-coarse": (int, 100),
     },
     "sweep": {
         "mode": (str, None), "sigma": (float, -16.0), "alpha": (float, 1.0),
@@ -92,9 +92,8 @@ SCHEMAS = {
     "solve": {
         "preset": (str, "dahlquist"), "sigma": (float, -16.0),
         "alpha": (float, None), "T": (float, None), "L": (int, 10),
-        "coarse-per-sub": (int, 10), "fine-per-coarse": (int, None),
-        "dt-equals-fine": _flag(), "outer-tol": (float, 1e-13),
-        "inner": (str, "assembled_direct"), "variant": (str, "newton"),
+        "coarse-per-sub": (int, 10), "fine-per-coarse": (int, 100),
+        "outer-tol": (float, 1e-13), "inner": (str, "assembled_direct"),
     },
     "lv": {
         "T": (float, 1.0 / 3.0), "alpha": (float, 5e-2), "L": (int, 10),
@@ -218,38 +217,6 @@ def parse_config(argv) -> RunConfig:
 def _validate(sub, values):
     if values["format"] not in ("csv", "json"):
         raise CliError(EXIT_USAGE, f"unknown format {values['format']!r}")
-    if sub == "analyze":
-        T, L = values["T"], values["L"]
-        dt = values["dt"]
-        cps = values["coarse-per-sub"]
-        if dt is not None:
-            if not (L >= 1 and dt > 0):
-                raise CliError(EXIT_INVALID, "--dt needs L >= 1 and dt > 0 "
-                               f"(got L={L}, dt={dt})")
-            derived = (T / L) / dt
-            if cps is not None and abs(derived - cps) > 1e-9 * max(1.0, derived):
-                raise CliError(
-                    EXIT_CONFLICT,
-                    f"--dt={dt} conflicts with --coarse-per-sub={cps} "
-                    f"(T/L/dt = {derived:.6g})")
-            try:
-                values["coarse-per-sub"] = step_count(derived, "T/L/dt")
-            except InvalidParameterError as exc:
-                raise CliError(EXIT_INVALID,
-                               "--dt must tile the sub-interval an integer "
-                               f"number of times ({exc})") from exc
-        elif cps is None:
-            values["coarse-per-sub"] = 50
-    if sub == "solve":
-        fpc = values["fine-per-coarse"]
-        if values["dt-equals-fine"]:
-            if fpc not in (None, 1):
-                raise CliError(
-                    EXIT_CONFLICT,
-                    "--dt-equals-fine conflicts with --fine-per-coarse")
-            values["fine-per-coarse"] = 1
-        elif fpc is None:
-            values["fine-per-coarse"] = 100
     if sub == "sweep":
         if values["mode"] is None:
             raise CliError(EXIT_USAGE, "sweep requires --mode=<name>")
@@ -288,15 +255,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-# machine-dependent columns: wall times and the speedups derived from them
-_TIMING_COLUMNS = ("wall_seconds", "speedup", "speedup_vs_serial")
+# machine-dependent columns and params: wall times and the speedups derived
+# from them
+_TIMING_FIELDS = ("wall_seconds", "speedup", "speedup_vs_serial",
+                  "reference_seconds")
 
 
 def _write_artifact(artifact, out_dir, fmt, zero_timings=False):
     os.makedirs(out_dir, exist_ok=True)
     rows = artifact.rows
     if zero_timings:
-        rows = [tuple(0.0 if c in _TIMING_COLUMNS else v
+        rows = [tuple(0.0 if c in _TIMING_FIELDS else v
                       for c, v in zip(artifact.columns, row)) for row in rows]
     path = os.path.join(out_dir, f"{artifact.name}.{fmt}")
     if fmt == "csv":
@@ -319,6 +288,14 @@ def _emit(result, cfg) -> int:
     for artifact in result.artifacts:
         path = _write_artifact(artifact, out_dir, cfg["format"],
                                cfg["zero-timings"])
+        print(f"wrote {path}")
+    if result.params:
+        params = {k: 0.0 if cfg["zero-timings"] and k in _TIMING_FIELDS
+                  else v for k, v in result.params.items()}
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, "params.json")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(params, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
     status = EXIT_OK
     for check in result.checks:
@@ -382,7 +359,7 @@ def _run_solve(cfg):
     grid = make_grid(T, cfg["L"], cps * cfg["fine-per-coarse"], cps)
     options = ParaoptOptions(outer_tol=cfg["outer-tol"],
                              inner_solver=cfg["inner"],
-                             variant=cfg["variant"], workers=cfg["workers"])
+                             workers=cfg["workers"])
     report = paraopt_solve(problem, grid, options)
     result = _history_result(f"solve_{preset}", report)
     print(f"converged={report.converged} outer_iterations={report.iterations} "

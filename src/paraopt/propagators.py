@@ -11,7 +11,8 @@ solution; ``CoarseLinearization.blocks`` assembles from it the four
 derivative blocks dP/dY, dP/dLam, dQ/dY, dQ/dLam of the coarse propagator
 pair (by solving the linearized problem about the stored trajectory).
 A window Newton iteration that has not met its tolerance after
-``DEFAULT_MAX_NEWTON`` steps raises :class:`NewtonDivergenceError`.
+``DEFAULT_MAX_NEWTON`` steps, or that has stalled (``_STALL_STEPS`` steps in
+a row left its residual no lower), raises :class:`NewtonDivergenceError`.
 
 Discretization (implicit Euler both directions, one function of this module
 per branch; the linear branch follows the discretely-optimal form whose
@@ -23,9 +24,9 @@ control picks up an extra solve with the step matrix):
   so the window maps are Q = (S^T)^m Lam_plus and
   P = S^m Y - (1/alpha) G Lam_plus with G = tau * sum_p S^p B B^T (S^T)^p.
   These maps and the derivative blocks made of them are built once per
-  dynamics and step: a bounded cache keys them on (a digest of A, B and
-  alpha, tau, steps), so every window, and every problem with the same A, B
-  and alpha, shares one read-only set.
+  dynamics and step: a bounded cache keys them on (the A and B arrays
+  themselves, alpha, tau, steps), so every window, and every problem that
+  holds the same A and B arrays and alpha, shares one read-only set.
 * nonlinear problems:
       y_{j+1} = y_j + tau * (f(y_{j+1}) - B B^T lam_{j+1} / alpha),
       (I - tau * f'(y_j)^T) lam_j = lam_{j+1},
@@ -41,12 +42,8 @@ control picks up an extra solve with the step matrix):
   at least one Newton step: a start that already meets the tolerance would
   otherwise keep its old P and Q, ignoring the new Y and Lam_plus, which
   stalls the outer iteration near the tolerance.  The outer iteration
-  carries one state per window, its coarse and fine trajectories at the
-  last iterate (``solver._WindowState``), and each window's task builds
-  its start from that state: the coarse trajectory interpolated onto the
-  fine nodes at the first iterate, afterwards the Parareal update of the
-  previous fine trajectory by the change of the coarse trajectory over the
-  outer step.  Linear windows are closed-form and ignore ``start``.
+  (``solver``) predicts the starts.  Linear windows are closed-form and
+  ignore ``start``.
   A window solve allocates its band matrix once and refills it on every
   Newton step.  LAPACK ``dgbtrf`` factors it and ``dgbtrs`` solves with the
   factors, both called through the function pointers that
@@ -82,13 +79,11 @@ concurrently on distinct sub-intervals.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import importlib.machinery
 import importlib.util
 import os
 import sys
 import threading
-import weakref
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -147,24 +142,11 @@ class LocalTrajectory:
 # linear window operators
 # ---------------------------------------------------------------------------
 
-def _dynamics_digest(problem: ControlProblem) -> bytes:
-    """SHA-256 digest of the fields of ``problem`` that _LinearOps reads.
-
-    Linear problems whose A, B and alpha are equal bytewise have equal
-    digests, whatever their endpoint data, so they share window operators.
-    """
-    h = hashlib.sha256(np.float64(problem.alpha).tobytes())
-    h.update(problem.linear_matrix.tobytes())
-    if problem.control_operator is not None:
-        h.update(problem.control_operator.tobytes())
-    return h.digest()
-
-
 class _LinearOps:
     """Window maps of the linear scheme for one (dynamics, tau, steps).
 
-    Reads A, B (through ``bbt``) and alpha of ``problem`` and nothing else:
-    :func:`_dynamics_digest` must hash whatever it reads.  ``blocks`` are
+    Reads A, B (through ``bbt``) and alpha of ``problem`` and nothing else,
+    the fields that :class:`_OperatorCache` keys on.  ``blocks`` are
     the derivative blocks (P_y, P_lam, Q_y, Q_lam) of every window these
     maps serve, built once: read-only arrays that all the windows share.
     Q_y is identically zero, since Q = (S^T)^m Lam_plus does not depend on
@@ -235,33 +217,34 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _OperatorCache:
     """Bounded LRU cache of :class:`_LinearOps`, called like its constructor.
 
-    Keyed on the dynamics (:func:`_dynamics_digest`, computed once per
-    problem) and (tau, steps), so problems that differ only in their
-    endpoint data share one operator set.  A miss is built under the lock:
-    concurrent windows wait for one build instead of making their own.
+    Keyed on the identity of the problem's A and B arrays, its alpha and
+    (tau, steps), so problems that hold the same A and B and differ only in
+    their endpoint data share one operator set; problems with content-equal
+    copies build their own.  Each entry holds A and B, so their ids cannot
+    be reused by other arrays while it is cached.  A miss is built under
+    the lock: concurrent windows wait for one build instead of making their
+    own.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self._entries: OrderedDict = OrderedDict()
-        self._digests = weakref.WeakKeyDictionary()    # problem -> digest
+        self._entries: OrderedDict = OrderedDict()   # key -> (A, B, ops)
         self._lock = threading.Lock()
         self._hits = self._misses = 0
 
     def __call__(self, problem: ControlProblem, tau: float,
                  steps: int) -> _LinearOps:
+        A, B = problem.linear_matrix, problem.control_operator
+        key = (id(A), id(B), problem.alpha, tau, steps)
         with self._lock:
-            digest = self._digests.get(problem)
-            if digest is None:
-                digest = self._digests[problem] = _dynamics_digest(problem)
-            key = (digest, tau, steps)
-            ops = self._entries.get(key)
-            if ops is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._hits += 1
                 self._entries.move_to_end(key)
-                return ops
+                return entry[2]
             self._misses += 1
-            ops = self._entries[key] = _LinearOps(problem, tau, steps)
+            ops = _LinearOps(problem, tau, steps)
+            self._entries[key] = (A, B, ops)
             if len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
             return ops
@@ -279,10 +262,10 @@ def discrete_control(problem: ControlProblem, tau: float, lam_next: Array) -> Ar
     """Controls c_{j+1} induced by the adjoints at the steps' right ends.
 
     ``lam_next`` holds one adjoint per row; row j of the result is its
-    control.  This is the one place the two discretization branches differ:
-    the linear scheme's control carries an extra application of
-    (I - tau*A)^{-T} (discretely optimal form), the nonlinear scheme couples
-    the adjoint directly.
+    control.  The two discretization branches differ here as they do in the
+    window solves: the linear scheme's control carries an extra application
+    of (I - tau*A)^{-T} (discretely optimal form), the nonlinear scheme
+    couples the adjoint directly.
     """
     B = problem.control_operator
     w = lam_next @ _linear_ops(problem, tau, 1).S if problem.is_linear \
@@ -588,6 +571,15 @@ def _band_solve(n: int, ab: Array, ipiv: Array, b: Array) -> None:
 # by none).  A warm window is solved again at the next outer iterate.
 _CHORD_CONTRACTION = 1e-2
 
+# A window Newton whose last this many steps in a row each left a residual
+# no lower than the one before, while above its tolerance, has stalled at
+# its round-off floor and stops with the residual it reached.  Over the
+# window solves of the test suite and the benchmark, a window that converges
+# takes at most 2 such steps in a row; a window whose floor lies above
+# ``local_tol`` (predator-prey, T = 1/3, 5 steps, Lam_plus = (3, 3), near
+# 2.5e-12 against 1e-12) would take 26 in a row within its 50 steps.
+_STALL_STEPS = 5
+
 
 def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, context: str,
                             start=None):
@@ -604,7 +596,9 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, context: str,
     by a chord step on the factors of the last Newton step; a chord step
     that does not lower the residual at full length is dropped and redone
     as a Newton step.  Returns (states, adjoints, iterations), chord steps
-    included.
+    included.  Raises :class:`NewtonDivergenceError` after
+    ``DEFAULT_MAX_NEWTON`` steps, on divergence, and once ``_STALL_STEPS``
+    steps in a row have lowered nothing while above ``tol``.
 
     Besides the band, the solve holds the iterate (y, lam), updated in
     place, and two slot-layout buffers: ``R``, the residual of the iterate
@@ -637,7 +631,7 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, context: str,
     du = np.empty(2 * n * m)
     res = _nonlinear_residual(R, problem, y, lam, tau, bbt_over_alpha)
     res0 = max(res, 1.0)
-    iters = 0
+    iters = stalled = 0
 
     def trial(step):
         return _nonlinear_residual(R, problem, y, lam, tau, bbt_over_alpha,
@@ -687,12 +681,17 @@ def _solve_window_nonlinear(problem, Y, Lam_plus, tau, m, tol, context: str,
         lam[:-1] += du_slots[:, :n]
         if terminal:
             lam[-1] = y[-1] - problem.y_target
+        stalled = 0 if best < res else stalled + 1
         res = best
         iters += 1
         if not np.isfinite(res) or res > 1e8 * res0:
             raise NewtonDivergenceError(
                 f"window Newton diverged ({context}); residual {res:.3e}",
                 residual=res)
+        if stalled >= _STALL_STEPS and res > tol:
+            raise NewtonDivergenceError(
+                f"window Newton stalled: {stalled} steps in a row lowered "
+                f"nothing ({context}); residual {res:.3e}", residual=res)
     return y, lam, iters
 
 

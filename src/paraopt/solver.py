@@ -519,7 +519,9 @@ def verify_residual(problem: ControlProblem, grid: TimeGrid,
     """Independent re-check of ||F(X)||_inf with fresh, tighter window solves.
 
     A failing window's error is raised with "verification" in its message,
-    so it is not taken for a failure of the solve.
+    so it is not taken for a failure of the solve.  When the windows solve
+    but their recurrences miss ``local_tol``, the error names the window
+    with the largest recurrence residual.
     """
     try:
         F, trajs = residual(problem, grid, X, tol=options.local_tol / 10.0,
@@ -529,11 +531,13 @@ def verify_residual(problem: ControlProblem, grid: TimeGrid,
         exc.args = (f"verification: {exc}",)
         exc.phase = "verification"
         raise
-    worst = max(window_recurrence_residual(problem, t) for t in trajs)
-    if worst > options.local_tol:
+    errors = [window_recurrence_residual(problem, t) for t in trajs]
+    ell = int(np.argmax(errors))
+    if errors[ell] > options.local_tol:
         raise NewtonDivergenceError(
-            f"verification windows missed their tolerance ({worst:.3e})",
-            residual=worst, phase="verification")
+            f"verification: fine window {ell + 1} missed its tolerance "
+            f"({errors[ell]:.3e})", residual=errors[ell],
+            subinterval=ell + 1, phase="verification")
     return float(np.abs(F).max())
 
 

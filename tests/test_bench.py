@@ -27,12 +27,10 @@ def _workloads():
     return module
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                    reason="bench/worker.py counts workers by CPU affinity")
-def test_traced_heat_krylov_records_every_layer():
+def _check_traced_run(name: str, workload) -> None:
     # no --spans: the run writes nothing
     proc = subprocess.run(
-        [sys.executable, str(BENCH / "worker.py"), "--workload=heat_krylov",
+        [sys.executable, str(BENCH / "worker.py"), f"--workload={name}",
          "--seed=1", "--seconds=1", "--mode=trace",
          f"--spawned-at={time.time()}"],
         capture_output=True, text=True, timeout=300)
@@ -40,5 +38,21 @@ def test_traced_heat_krylov_records_every_layer():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["instances"]
     assert all(rec["ok"] for rec in out["instances"])
-    for layer in _workloads().HeatKrylov.traced_layers:
+    for layer in workload.traced_layers:
         assert out["layers"][layer] > 0, layer
+
+
+_needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"),
+    reason="bench/worker.py counts workers by CPU affinity")
+
+
+@_needs_affinity
+def test_traced_heat_krylov_records_every_layer():
+    _check_traced_run("heat_krylov", _workloads().HeatKrylov)
+
+
+@_needs_affinity
+def test_traced_lv_parareal_records_every_layer():
+    # the banded side: the window Newton, its blocks and the thread pool
+    _check_traced_run("lv_parareal", _workloads().LvParareal)

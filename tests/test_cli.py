@@ -1,4 +1,5 @@
 import cProfile
+import json
 import os
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from paraopt import _parallel
 from paraopt import experiments as ex
 from paraopt import propagators
-from paraopt.cli import (EXIT_CONFLICT, EXIT_GOLDEN, EXIT_INVALID,
-                         EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_UNKNOWN_KEY,
-                         EXIT_USAGE, CliError, main, parse_config)
+from paraopt.cli import (EXIT_GOLDEN, EXIT_INVALID, EXIT_NO_CONVERGENCE,
+                         EXIT_OK, EXIT_UNKNOWN_KEY, EXIT_USAGE, CliError, main,
+                         parse_config)
 
 
 def run(tmp_path, *args):
@@ -36,6 +37,10 @@ def test_unknown_subcommand_exit_2():
 
 def test_unknown_key_exit_4():
     assert main(["analyze", "--bogus=1"]) == EXIT_UNKNOWN_KEY
+    # keys that restated another key or changed nothing are gone
+    assert main(["analyze", "--dt=0.1"]) == EXIT_UNKNOWN_KEY
+    assert main(["solve", "--dt-equals-fine"]) == EXIT_UNKNOWN_KEY
+    assert main(["solve", "--variant=gauss_newton"]) == EXIT_UNKNOWN_KEY
 
 
 def test_parse_error_exit_2():
@@ -61,8 +66,9 @@ def test_invalid_parameter_exit_6(tmp_path, capsys):
     (("lv", "--L=0"), "need at least one sub-interval"),
     (("heat", "--L=0"), "need at least one sub-interval"),
     (("heat", "--delta-t=0"), "delta_t must be positive"),
-    (("analyze", "--L=0", "--dt=0.1"), "--dt needs L >= 1 and dt > 0"),
-    (("analyze", "--dt=0"), "--dt needs L >= 1 and dt > 0"),
+    (("analyze", "--L=0"), "need at least one sub-interval"),
+    (("analyze", "--coarse-per-sub=0"),
+     "need fine_steps >= coarse_steps >= 1 per sub-interval"),
     (("lv", "--r=nan"), "is not a positive integer"),
     (("solve", "--preset=dahlquist", "--outer-tol=nan"),
      "outer_tol must be finite and positive, got nan"),
@@ -91,38 +97,6 @@ def test_check_with_an_empty_suite_exit_6(tmp_path, capsys, monkeypatch,
     assert run(tmp_path, "check", *flags) == EXIT_INVALID
     assert message in capsys.readouterr().err
     assert called == []
-
-
-def test_conflicting_step_spec_exit_5():
-    # dt and coarse-per-sub disagree about the coarse grid
-    assert main(["analyze", "--T=100", "--L=30", "--coarse-per-sub=50",
-                 "--dt=0.1"]) == EXIT_CONFLICT
-
-
-def test_dt_equals_fine_with_explicit_fine_per_coarse_exit_5(tmp_path):
-    # an explicit 100 equals the default and must still be caught
-    assert main(["solve", "--dt-equals-fine",
-                 "--fine-per-coarse=100"]) == EXIT_CONFLICT
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("fine-per-coarse=100\n", encoding="utf-8")
-    assert main(["solve", f"--config={cfg}",
-                 "--dt-equals-fine"]) == EXIT_CONFLICT
-    cfg = parse_config(["solve", "--dt-equals-fine", "--fine-per-coarse=1"])
-    assert cfg["fine-per-coarse"] == 1
-    assert parse_config(["solve"])["fine-per-coarse"] == 100
-
-
-def test_dt_not_tiling_the_subinterval_exit_6(capsys):
-    # T/L/dt = 2.5 coarse steps per sub-interval
-    assert main(["analyze", "--T=1", "--L=4", "--dt=0.1"]) == EXIT_INVALID
-    assert "--dt must tile the sub-interval" in capsys.readouterr().err
-    assert main(["analyze", "--T=1", "--L=4", "--dt=0.5"]) == EXIT_INVALID
-
-
-def test_dt_consistent_with_count_accepted(tmp_path):
-    DT = 100.0 / 30.0
-    assert run(tmp_path, "analyze", "--T=100", "--L=30",
-               "--coarse-per-sub=50", f"--dt={DT / 50}") == EXIT_OK
 
 
 def test_config_file_flags_override(tmp_path):
@@ -159,7 +133,8 @@ def test_analyze_csv_schema(tmp_path):
 
 
 def test_solve_dt_equals_fine_single_iteration(tmp_path, capsys):
-    rc = run(tmp_path, "solve", "--preset=dahlquist", "--dt-equals-fine",
+    # one fine step per coarse step: the coarse propagator is the fine one
+    rc = run(tmp_path, "solve", "--preset=dahlquist", "--fine-per-coarse=1",
              "--coarse-per-sub=4")
     assert rc == EXIT_OK
     assert "outer_iterations=1" in capsys.readouterr().out
@@ -205,7 +180,12 @@ def test_bench_zero_timings_byte_identical(tmp_path):
     for out in (a, b):
         assert main(["bench", "--preset=dahlquist", "--worker-counts=1,2",
                      "--zero-timings", f"--output-dir={out}"]) == EXIT_OK
-    assert (a / "timing.csv").read_bytes() == (b / "timing.csv").read_bytes()
+    for name in ("timing.csv", "params.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    params = json.loads((a / "params.json").read_text())
+    assert params["reference_seconds"] == 0.0
+    assert params["reference_speedups"]["12"] == 17.95
+    assert params["worker_counts"] == [1, 2]
     rows = (a / "timing.csv").read_text().splitlines()
     assert rows[0] == ("workers,wall_seconds,speedup,outer_iterations,"
                        "speedup_vs_serial")
@@ -215,8 +195,6 @@ def test_bench_zero_timings_byte_identical(tmp_path):
 
 def test_json_output(tmp_path):
     assert run(tmp_path, "analyze", "--format=json") == EXIT_OK
-    import json
-
     payload = json.loads((tmp_path / "analyze.json").read_text())
     assert payload["columns"][0] == "sigma"
 
@@ -235,6 +213,9 @@ def test_parse_config_structure():
     cfg = parse_config(["lv", "--T=1", "--L=1"])
     assert cfg.subcommand == "lv"
     assert cfg["T"] == 1.0 and cfg["L"] == 1
+    # grid counts come from their keys or these defaults
+    assert parse_config(["analyze"])["coarse-per-sub"] == 50
+    assert parse_config(["solve"])["fine-per-coarse"] == 100
     with pytest.raises(CliError):
         parse_config([])
 

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import importlib.util
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +289,37 @@ def test_linear_ops_shared_by_equal_dynamics():
                   _heat_like(p, control_operator=None),
                   _heat_like(p, linear_matrix=A)):
         assert propagators._linear_ops(other, tau, steps) is not ops
+
+
+def test_linear_ops_keyed_on_the_arrays_not_their_contents(monkeypatch):
+    # content-equal copies of A and B build their own operator set, with the
+    # same bits, and the solve is bitwise the one on the shared arrays
+    cache = propagators._OperatorCache(maxsize=64)
+    monkeypatch.setattr(propagators, "_linear_ops", cache)
+    p = make_heat_1d(n=30)
+    q = _heat_like(p, linear_matrix=p.linear_matrix.copy(),
+                   control_operator=p.control_operator.copy())
+    g = make_grid(1e-2, 3, 30, 6)
+    options = ParaoptOptions(inner_solver="krylov", inner_tol=1e-12)
+    reports = [paraopt_solve(problem, g, options) for problem in (p, q)]
+    assert cache.cache_info().misses == 4     # fine and coarse step, twice
+    for coarse in (False, True):
+        tau, steps = (g.coarse_step, g.coarse_steps) if coarse \
+            else (g.fine_step, g.fine_steps)
+        ops_p, ops_q = cache(p, tau, steps), cache(q, tau, steps)
+        assert ops_q is not ops_p
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(ops_p.blocks, ops_q.blocks))
+    first, second = reports
+    assert first.iterations == second.iterations >= 1
+    assert np.array_equal(first.final.to_stacked(), second.final.to_stacked())
+    assert np.array_equal(first.residuals, second.residuals)
+    # the cache holds the arrays it is keyed on, so no other array can take
+    # their ids while the entry lives
+    refs = [weakref.ref(q.linear_matrix), weakref.ref(q.control_operator)]
+    del q, reports, second
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
 
 
 def test_linear_ops_built_once_per_dynamics(monkeypatch):
@@ -905,7 +938,9 @@ def _copying_window_solve(p, Y, Lam_plus, tau, m, start=None, tol=1e-12):
 
     Returns (states, adjoints, iterations, halved trials, steps that took
     the best of failed trials, the residual at which the solve gives up or
-    None).
+    None).  It gives up as the window Newton does: after its step budget,
+    on divergence, or after ``_STALL_STEPS`` steps in a row that lowered
+    nothing while above ``tol``.
     """
     n = p.dim
     bbt = p.bbt() / p.alpha
@@ -936,7 +971,7 @@ def _copying_window_solve(p, Y, Lam_plus, tau, m, start=None, tol=1e-12):
         return du
 
     ab, ipiv = _band_workspace(n, m), None
-    iters = halved = recovered = 0
+    iters = halved = recovered = stalled = 0
     R = np.empty((m, 2 * n))
     res = _nonlinear_residual(R, p, y, lam, tau, bbt)
     res0 = max(res, 1.0)
@@ -965,9 +1000,12 @@ def _copying_window_solve(p, Y, Lam_plus, tau, m, start=None, tol=1e-12):
             recovered += best is not trial
         if not best[0] <= propagators._CHORD_CONTRACTION * res:
             ipiv = None
+        stalled = 0 if best[0] < res else stalled + 1
         res, y, lam, R = best
         iters += 1
         if not np.isfinite(res) or res > 1e8 * res0:
+            return y, lam, iters, halved, recovered, res
+        if stalled >= propagators._STALL_STEPS and res > tol:
             return y, lam, iters, halved, recovered, res
     return y, lam, iters, halved, recovered, None
 
@@ -979,7 +1017,7 @@ def test_in_place_window_solve_is_bitwise_the_copying_one(case, monkeypatch):
     # "warm" takes chord steps; "recovering" has a step that takes the best
     # of eleven failed trials, evaluated again in place, and converges;
     # "stalling" stays at the round-off floor above the tolerance and gives
-    # up after such steps
+    # up after _STALL_STEPS such steps in a row, long before its step budget
     monkeypatch.setattr(propagators, "_RESIDUAL_CHUNK", 4)
     p = make_lotka_volterra()
     start, tol = None, propagators.DEFAULT_LOCAL_TOL
@@ -1000,6 +1038,8 @@ def test_in_place_window_solve_is_bitwise_the_copying_one(case, monkeypatch):
     assert (gave_up is not None) == (case == "stalling")
     if case == "warm":
         assert iters == 4        # one Newton step and three chord steps
+    if case == "stalling":
+        assert iters < propagators.DEFAULT_MAX_NEWTON
 
     def solve():
         return propagators._solve_window_nonlinear(
@@ -1007,7 +1047,7 @@ def test_in_place_window_solve_is_bitwise_the_copying_one(case, monkeypatch):
             start=None if start is None else (start.states, start.adjoints))
 
     if gave_up is not None:
-        with pytest.raises(NewtonDivergenceError) as info:
+        with pytest.raises(NewtonDivergenceError, match="stalled") as info:
             solve()
         assert info.value.residual == gave_up
         return

@@ -680,7 +680,7 @@ def test_verification_failure_names_its_phase_and_window(monkeypatch):
     p = make_lotka_volterra()
     g = make_grid(1.0 / 3.0, 3, 40, 4)
     X = default_initial_guess(p, g)
-    # a tolerance no window meets: window 1 runs out of Newton steps
+    # a tolerance no window meets: window 1 stalls at its round-off floor
     opts = ParaoptOptions(local_tol=1e-300)
     with pytest.raises(NewtonDivergenceError, match="verification") as info:
         verify_residual(p, g, X, opts)
@@ -699,6 +699,23 @@ def test_verification_failure_names_its_phase_and_window(monkeypatch):
         verify_residual(p, g, X, ParaoptOptions())
     assert info.value.subinterval == 2
     assert info.value.phase == "verification"
+
+
+def test_verification_tolerance_miss_names_the_worst_window(monkeypatch):
+    # every window solves, but the recurrences of windows 1 and 2 miss
+    # local_tol; the error names window 2, the larger miss
+    p = make_lotka_volterra()
+    g = make_grid(1.0 / 3.0, 3, 40, 4)
+    X = default_initial_guess(p, g)
+    misses = iter([5e-12, 7e-12, 1e-13])
+    monkeypatch.setattr(solver, "window_recurrence_residual",
+                        lambda problem, traj: next(misses))
+    with pytest.raises(NewtonDivergenceError, match="verification") as info:
+        verify_residual(p, g, X, ParaoptOptions())
+    assert info.value.subinterval == 2
+    assert info.value.phase == "verification"
+    assert info.value.residual == 7e-12
+    assert "fine window 2" in str(info.value)
 
 
 def test_zero_adjoint_guess_option_linear():
